@@ -37,19 +37,6 @@ STATUSES = (
     "open",
 )
 
-# Survivor statuses for the validated K^2 = 7 run, keyed by
-# (k, m in reported order). Two of the five survivors admit a geometric
-# (not numeric) exclusion argument, recorded here as an annotation only;
-# the last case is genuinely open.
-_STATUS_TABLE = {
-    ((7, 5, 5), (5, 9, 7)): "realized_inoue",
-    ((5, 5, 3), (7, 5, 1)): "realized_dp1",
-    ((5, 5, 3), (3, 5, 1)): "excluded_geometric",
-    ((5, 5, 3), (7, 1, 1)): "excluded_geometric",
-    ((5, 3, 1), (1, 3, 1)): "open",
-}
-
-
 class ClassifierError(ValueError):
     pass
 
@@ -128,12 +115,13 @@ def _k_failure(k2: int, k: Triple) -> str | None:
 
 def candidate_k_triples(k2: int) -> list[Triple]:
     """Non-increasing triples (K.R_1, K.R_2, K.R_3) surviving stage one."""
-    if k2 < 1:
-        raise ClassifierError("positive K^2 required")
-    return [k for k in _k_domain(k2) if _k_failure(k2, k) is None]
+    return candidate_k_triples_trace(k2)[0]
 
 
 def candidate_k_triples_trace(k2: int) -> tuple[list[Triple], list[KRejection]]:
+    """Stage one, also returning each rejected triple with its first failing test."""
+    if k2 < 1:
+        raise ClassifierError("positive K^2 required")
     kept: list[Triple] = []
     rejected: list[KRejection] = []
     for k in _k_domain(k2):
@@ -317,6 +305,20 @@ class NumericalCase:
         }
 
 
+# The published K^2 = 7 classification, in table order. `classify --k2 7`
+# checks its survivors against these rows, so the command fails loudly if
+# the search ever drifts. Two of the five survivors admit a geometric (not
+# numeric) exclusion argument, recorded in the status as an annotation
+# only; the last case is genuinely open.
+K7_REFERENCE = (
+    NumericalCase(7, (7, 5, 5), (7, 9, 5), (2, 0, 2), 3, 784, "realized_inoue"),
+    NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "realized_dp1"),
+    NumericalCase(7, (5, 5, 3), (1, 5, 3), (4, 2, 2), -1, 64, "excluded_geometric"),
+    NumericalCase(7, (5, 5, 3), (1, 1, 7), (4, 4, 0), -1, 64, "excluded_geometric"),
+    NumericalCase(7, (5, 3, 1), (1, 3, 1), (4, 2, 2), -1, 16, "open"),
+)
+
+
 @dataclass(frozen=True)
 class ClassificationOutcome:
     cases: tuple[NumericalCase, ...]
@@ -325,9 +327,11 @@ class ClassificationOutcome:
     validated: bool
 
 
-def _status_of(k2: int, k: Triple, m_reported: Triple) -> str:
+def _status_of(k2: int, k: Triple, m: Triple) -> str:
     if k2 == 7:
-        return _STATUS_TABLE.get((k, m_reported), "open")
+        for case in K7_REFERENCE:
+            if case.k == k and case.m == m:
+                return case.status
     return "open"
 
 
@@ -344,7 +348,6 @@ def classify_with_trace(k2: int) -> ClassificationOutcome:
         survivors, rejections = enumerate_m_triples_trace(k2, k)
         m_rejections.extend(rejections)
         for record in survivors:
-            reported = (record.m[2], record.m[1], record.m[0])
             cases.append(
                 NumericalCase(
                     k2=k2,
@@ -353,7 +356,7 @@ def classify_with_trace(k2: int) -> ClassificationOutcome:
                     l=record.l,
                     k_sigma_sq=record.k_sigma_sq,
                     det_a=record.det_a,
-                    status=_status_of(k2, k, reported),
+                    status=_status_of(k2, k, record.m),
                 )
             )
     return ClassificationOutcome(

@@ -31,11 +31,11 @@ import argparse
 import sys
 
 from .certificates import Certificate, canonical_json, check, recorded
-from .classifier import classify_with_trace
+from .classifier import K7_REFERENCE, classify_with_trace
 from .cohomology import deformation_certificate
 from .covers import run_verification
 from .curves import enumerate_classes, filter_effective_against_nodal
-from .fixtures import FIXTURE_NAMES, FixtureError, expectations, fixture, verify_fixture
+from .fixtures import FIXTURE_NAMES, FixtureError, expectations, fixture
 from .lattice import format_class
 from .surface_io import (
     SurfaceFile,
@@ -44,42 +44,25 @@ from .surface_io import (
     save_surface,
 )
 
-# Reference classification table for canonical degree 7, in output order.
-# Everything here is recomputed by `classify`; the table pins the published
-# numbers so the command can fail loudly if the search ever drifts.
-_REFERENCE_K7 = (
-    {"K2": 7, "k": [7, 5, 5], "m": [5, 9, 7], "r": [-1, -1, -1],
-     "l": [2, 0, 2], "KSigma2": 3, "detA": 784, "status": "realized_inoue"},
-    {"K2": 7, "k": [5, 5, 3], "m": [7, 5, 1], "r": [-1, -1, -1],
-     "l": [4, 2, 0], "KSigma2": 1, "detA": 144, "status": "realized_dp1"},
-    {"K2": 7, "k": [5, 5, 3], "m": [3, 5, 1], "r": [-1, -1, -1],
-     "l": [4, 2, 2], "KSigma2": -1, "detA": 64, "status": "excluded_geometric"},
-    {"K2": 7, "k": [5, 5, 3], "m": [7, 1, 1], "r": [-1, -1, -1],
-     "l": [4, 4, 0], "KSigma2": -1, "detA": 64, "status": "excluded_geometric"},
-    {"K2": 7, "k": [5, 3, 1], "m": [1, 3, 1], "r": [-1, -1, -1],
-     "l": [4, 2, 2], "KSigma2": -1, "detA": 16, "status": "open"},
-)
-
 
 def classification_certificate(k2: int) -> Certificate:
     """Certificate comparing classify(k2) against the built-in table."""
     outcome = classify_with_trace(k2)
-    computed = [case.to_json_dict() for case in outcome.cases]
     rows = []
     if k2 == 7:
         rows.append(
             check("table/count", "number of surviving numerical cases",
-                  "classification table", len(computed), len(_REFERENCE_K7))
+                  "classification table", len(outcome.cases), len(K7_REFERENCE))
         )
-        by_key = {(tuple(d["k"]), tuple(d["m"])): d for d in computed}
-        for exp in _REFERENCE_K7:
-            key = (tuple(exp["k"]), tuple(exp["m"]))
-            kk = ".".join(str(v) for v in exp["k"])
-            mm = ".".join(str(v) for v in exp["m"])
+        by_key = {(case.k, case.m): case.to_json_dict() for case in outcome.cases}
+        for ref in K7_REFERENCE:
+            kk = ".".join(str(v) for v in ref.k)
+            mm = ".".join(str(v) for v in ref.m_reported)
             rows.append(
                 check(f"table/{kk}-{mm}",
                       f"case k=({kk}) m=({mm}) matches the reference row",
-                      "classification table", by_key.pop(key, None), exp)
+                      "classification table", by_key.pop((ref.k, ref.m), None),
+                      ref.to_json_dict())
             )
         for i, extra in enumerate(by_key.values(), start=1):
             rows.append(
@@ -96,7 +79,7 @@ def classification_certificate(k2: int) -> Certificate:
         rows.append(
             recorded("table/unvalidated",
                      "survivors for this degree are reported without validation",
-                     "classification table", computed)
+                     "classification table", [case.to_json_dict() for case in outcome.cases])
         )
     return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
 
@@ -134,25 +117,18 @@ def _load_target(args: argparse.Namespace) -> SurfaceFile:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.fixture is not None:
-        cert = verify_fixture(args.fixture)
-        if args.export:
-            save_surface(_load_target(args), args.export)
+    surface = _load_target(args)
+    if surface.cover is None:
+        raise SurfaceFileError(f"{args.file}: no cover block, nothing to verify")
+    if surface.label in FIXTURE_NAMES:
+        expect = expectations(surface.label)
+        title = f"fixture verification: {surface.label}"
     else:
-        surface = load_surface(args.file)
-        if surface.cover is None:
-            raise SurfaceFileError(
-                f"{args.file}: no cover block, nothing to verify"
-            )
-        if surface.label in FIXTURE_NAMES:
-            expect = expectations(surface.label)
-            title = f"fixture verification: {surface.label}"
-        else:
-            expect = None
-            title = f"surface verification: {surface.label}"
-        cert = run_verification(surface.cover, expect, title)
-        if args.export:
-            save_surface(surface, args.export)
+        expect = None
+        title = f"surface verification: {surface.label}"
+    cert = run_verification(surface.cover, expect, title)
+    if args.export:
+        save_surface(surface, args.export)
     return _emit(cert, args.emit)
 
 
@@ -238,10 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FixtureError, SurfaceFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FixtureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .certificates import Certificate, check, recorded
 from .covers import CoverData, compute_invariants
 from .curves import CurveConfiguration
-from .fixtures import FixtureError, fixture
+from .fixtures import fixture, report_expectations
 from .lattice import DivisorClass, SurfaceLattice, arithmetic_genus
 
 
@@ -132,56 +132,26 @@ def deformation_report(fixture_name: str) -> DeformationReport:
     chi_restr = chi_branch_restrictions(config, cover, kw)
     inv = compute_invariants(cover)
     balance = 2 * inv.k_s_sq - 10 * inv.chi_ov
-    if fixture_name == "dp1":
-        return DeformationReport(
-            fixture=fixture_name,
-            chi_omega1_k=chi_twist,
-            chi_restrictions=chi_restr,
-            chi_log=chi_twist + chi_restr,
-            balance=balance,
-            h1_inv=-(chi_twist + chi_restr),
-            h2_bounds=H2_BOUNDS,
-            h1_total_bound=sum(H2_BOUNDS) - balance,
-            h2_total_bound=sum(H2_BOUNDS),
-            notes=_DP1_NOTES,
-        )
+    chi_log = chi_twist + chi_restr
+    dp1 = fixture_name == "dp1"
     return DeformationReport(
         fixture=fixture_name,
         chi_omega1_k=chi_twist,
         chi_restrictions=chi_restr,
-        chi_log=chi_twist + chi_restr,
+        chi_log=chi_log,
         balance=balance,
-        h1_inv=None,
-        h2_bounds=None,
-        h1_total_bound=None,
-        h2_total_bound=None,
-        notes=_COMMON_NOTES,
+        h1_inv=-chi_log if dp1 else None,
+        h2_bounds=H2_BOUNDS if dp1 else None,
+        h1_total_bound=sum(H2_BOUNDS) - balance if dp1 else None,
+        h2_total_bound=sum(H2_BOUNDS) if dp1 else None,
+        notes=_DP1_NOTES if dp1 else _COMMON_NOTES,
     )
-
-
-_REPORT_EXPECT = {
-    "dp1": {
-        "chi_omega1_K": -8,
-        "chi_restrictions": 5,
-        "chi_log": -3,
-        "balance": 4,
-        "h1_inv": 3,
-    },
-    "inoue": {
-        "chi_omega1_K": -4,
-        "chi_restrictions": 0,
-        "chi_log": -4,
-        "balance": 4,
-    },
-}
 
 
 def deformation_certificate(fixture_name: str) -> Certificate:
     """Certificate form of the report, with frozen expected values."""
-    if fixture_name not in _REPORT_EXPECT:
-        raise FixtureError(f"unknown fixture {fixture_name!r}")
+    expect = report_expectations(fixture_name)
     report = deformation_report(fixture_name)
-    expect = _REPORT_EXPECT[fixture_name]
     rows = [
         check("report/chi-twist", "chi of the K_W-twisted cotangent sheaf",
               "Riemann-Roch", report.chi_omega1_k, expect["chi_omega1_K"]),

@@ -298,8 +298,6 @@ def compute_invariants(cover: CoverData) -> CoverInvariants:
         if root is None:
             raise CoverError("cover has an underivable root; verify building data first")
         sum_llk += root.dot(root + kw)
-    if sum_llk % 2:
-        raise CoverError("character formula needs an even value of sum L_i(L_i+K)")
     chi_ov = 4 + sum_llk // 2
     try:
         dims = classifier.eigenspace_dims(k_s_sq, db)  # type: ignore[arg-type]

@@ -38,10 +38,6 @@ class ConfigurationError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _floor_div(a: int, b: int) -> int:
-    return a // b
-
-
 def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
@@ -61,7 +57,7 @@ def _degree_range(n: int, s: int) -> range:
     # exact floor/ceil of (6(s+2) -+ sqrt(disc)) / (2 lead); widen by the
     # one-off error of isqrt truncation, the per-degree test re-filters.
     lo = _ceil_div(6 * (s + 2) - root - 1, 2 * lead)
-    hi = _floor_div(6 * (s + 2) + root + 1, 2 * lead)
+    hi = (6 * (s + 2) + root + 1) // (2 * lead)
     return range(lo, hi + 1)
 
 

@@ -14,23 +14,20 @@ nodal curves C_j, C_j'), with branch lists built from a fiber F_b, curves
 Gamma and E, and two branch components B_2, B_3 of higher degree. The
 roots are stored explicitly.
 
-Every number in the expectation tables below was recomputed by hand from
-the coefficient vectors before being frozen; the test suite re-derives
-the same values through independent code paths.
+The expectation tables below hold every frozen value a fixture is checked
+against: the verification certificate and the deformation report. Every
+number in them was recomputed by hand from the coefficient vectors
+before being frozen; the test suite re-derives the same values through
+independent code paths.
 """
 
 from __future__ import annotations
 
-from .covers import CoverData, FixtureExpectations, derive_roots, make_cover, run_verification
+from typing import NamedTuple
+
+from .covers import CoverData, FixtureExpectations, make_cover, run_verification
 from .curves import CurveConfiguration, FiberDecomposition, NamedCurve
 from .lattice import SurfaceLattice
-
-FIXTURE_NAMES = ("dp1", "inoue")
-
-# The inoue roots are derived, not stored: halving the complementary
-# branch sums is the only way to produce them, and the tests pin the
-# resulting coefficient vectors.
-INOUE_ROOTS_DERIVED = True
 
 
 class FixtureError(KeyError):
@@ -121,6 +118,13 @@ _INOUE_EXPECT = FixtureExpectations(
     d_description="class of D = 2K_W + B_1 + B_2 + B_3 (equal to -K_W + F1')",
 )
 
+_INOUE_REPORT = {
+    "chi_omega1_K": -4,
+    "chi_restrictions": 0,
+    "chi_log": -4,
+    "balance": 4,
+}
+
 
 # ---------------------------------------------------------------------------
 # dp1: blowup of the plane in eight points
@@ -210,6 +214,14 @@ _DP1_EXPECT = FixtureExpectations(
     d_description="class of D = 2K_W + B_1 + B_2 + B_3 (equal to -2K_W + Gamma)",
 )
 
+_DP1_REPORT = {
+    "chi_omega1_K": -8,
+    "chi_restrictions": 5,
+    "chi_log": -3,
+    "balance": 4,
+    "h1_inv": 3,
+}
+
 
 # ---------------------------------------------------------------------------
 # public access
@@ -223,23 +235,47 @@ def _build_config(lattice: SurfaceLattice, rows) -> CurveConfiguration:
     )
 
 
+class _Fixture(NamedTuple):
+    lattice: SurfaceLattice
+    curves: tuple
+    delta: tuple[tuple[str, ...], ...]
+    roots: tuple[tuple[int, ...], ...] | None  # None: derived by halving
+    expect: FixtureExpectations
+    report: dict[str, int]  # frozen values of the deformation report
+
+
+_FIXTURES = {
+    "dp1": _Fixture(
+        _DP1_LATTICE, _DP1_CURVES, _DP1_DELTA, _DP1_ROOTS, _DP1_EXPECT, _DP1_REPORT
+    ),
+    "inoue": _Fixture(
+        _INOUE_LATTICE, _INOUE_CURVES, _INOUE_DELTA, None, _INOUE_EXPECT, _INOUE_REPORT
+    ),
+}
+
+FIXTURE_NAMES = tuple(_FIXTURES)
+
+
+def _lookup(name: str) -> _Fixture:
+    if name not in _FIXTURES:
+        raise FixtureError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    return _FIXTURES[name]
+
+
 def fixture(name: str) -> tuple[CurveConfiguration, CoverData]:
-    if name == "inoue":
-        config = _build_config(_INOUE_LATTICE, _INOUE_CURVES)
-        return config, make_cover(config, _INOUE_DELTA, derive_roots(config, _INOUE_DELTA))
-    if name == "dp1":
-        config = _build_config(_DP1_LATTICE, _DP1_CURVES)
-        roots = tuple(config.lattice.divisor(v) for v in _DP1_ROOTS)
-        return config, make_cover(config, _DP1_DELTA, roots)
-    raise FixtureError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    entry = _lookup(name)
+    config = _build_config(entry.lattice, entry.curves)
+    roots = None if entry.roots is None else tuple(config.lattice.divisor(v) for v in entry.roots)
+    return config, make_cover(config, entry.delta, roots)
 
 
 def expectations(name: str) -> FixtureExpectations:
-    if name == "inoue":
-        return _INOUE_EXPECT
-    if name == "dp1":
-        return _DP1_EXPECT
-    raise FixtureError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
+    return _lookup(name).expect
+
+
+def report_expectations(name: str) -> dict[str, int]:
+    """Frozen values for the deformation report of a fixture."""
+    return _lookup(name).report
 
 
 def verify_fixture(name: str):

@@ -95,18 +95,6 @@ class SurfaceLattice:
         """-3L + sum of all exceptional classes (total-transform basis)."""
         return DivisorClass(self, (-3,) + (1,) * self.n)
 
-    def gram_matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for i in range(self.rank):
-            row = [0] * self.rank
-            row[i] = 1 if i == 0 else -1
-            rows.append(tuple(row))
-        return tuple(rows)
-
-    def gram_determinant(self) -> int:
-        # diagonal form, so the determinant is just the diagonal product
-        return (-1) ** self.n
-
 
 @dataclass(frozen=True)
 class DivisorClass:

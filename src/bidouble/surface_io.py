@@ -71,7 +71,7 @@ def surface_from_dict(data) -> SurfaceFile:
         raise SurfaceFileError("the first basis name must be 'L' (the +1 vector)")
     rank = len(basis)
     signature = data.get("signature")
-    if signature is not None and list(signature) != [1] + [-1] * (rank - 1):
+    if signature is not None and signature != [1] + [-1] * (rank - 1):
         raise SurfaceFileError("only the signature (+1, -1, ..., -1) is supported")
     try:
         lattice = SurfaceLattice(label, tuple(basis[1:]))

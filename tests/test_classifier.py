@@ -70,6 +70,14 @@ def test_candidate_k_rejection_reasons():
     assert reasons[(7, 7, 7)] == "bicanonical degree"
 
 
+def test_stage_one_needs_positive_degree():
+    for k2 in (0, -3):
+        with pytest.raises(ClassifierError):
+            candidate_k_triples_trace(k2)
+        with pytest.raises(ClassifierError):
+            candidate_k_triples(k2)
+
+
 def test_m_survivors_per_k():
     surv = enumerate_m_triples(7, (7, 5, 5))
     assert len(surv) == 1

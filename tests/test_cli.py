@@ -26,6 +26,14 @@ def test_classify_other_degree_fails_cleanly(capsys):
     assert "overall: fail" in out
 
 
+def test_classify_nonpositive_degree_is_input_error(capsys):
+    for argv in (["--k2", "0"], ["--k2", "-3"], ["--k2", "0", "--verbose"]):
+        code, out, err = run(capsys, "classify", *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: positive K^2 required\n"
+
+
 def test_classify_json_byte_stable(capsys):
     code, first, _ = run(capsys, "classify", "--k2", "7", "--emit", "json")
     assert code == 0

@@ -31,16 +31,19 @@ def test_basic_shape():
 
 
 def test_gram_matrix_and_determinant():
-    lat = make(4)
-    g = lat.gram_matrix()
-    assert g[0][0] == 1
-    for i in range(1, 5):
-        assert g[i][i] == -1
-    assert all(g[i][j] == 0 for i in range(5) for j in range(5) if i != j)
-    assert lat.gram_determinant() == 1
-    assert make(5).gram_determinant() == -1
     for n in range(1, 9):
-        assert make(n).gram_determinant() == (-1) ** n
+        lat = make(n)
+        basis = [lat.line()] + [lat.exceptional(f"E{i}") for i in range(1, n + 1)]
+        g = [[a.dot(b) for b in basis] for a in basis]
+        assert g[0][0] == 1
+        for i in range(1, n + 1):
+            assert g[i][i] == -1
+        assert all(g[i][j] == 0 for i in range(lat.rank) for j in range(lat.rank) if i != j)
+        # diagonal Gram matrix, so the determinant is the diagonal product
+        det = 1
+        for i in range(lat.rank):
+            det *= g[i][i]
+        assert det == (-1) ** n
 
 
 def test_name_validation():

@@ -34,6 +34,13 @@ def random_class(rng, lattice):
 
 
 def test_pairing_symmetry_and_bilinearity():
+    for lat in LATTICES:
+        basis = [lat.divisor(tuple(int(i == j) for j in range(lat.rank)))
+                 for i in range(lat.rank)]
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                expected = 1 if i == j == 0 else -1 if i == j else 0
+                assert a.dot(b) == expected
     rng = random.Random(SEED)
     for _ in range(TRIALS):
         lat = rng.choice(LATTICES)

@@ -83,6 +83,7 @@ def test_structural_rejection():
     rejects({**base, "basis": []})
     rejects({**base, "basis": ["E1", "L"]})
     rejects({**base, "signature": [1, 1] + [-1] * 7})
+    rejects({**base, "signature": 5})
 
     doc = json.loads(json.dumps(base))
     doc["curves"][0]["role"] = "hero"
