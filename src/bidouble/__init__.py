@@ -17,7 +17,6 @@ from .certificates import (
 )
 from .classifier import (
     ClassifierError,
-    MTriple,
     NumericalCase,
     branch_genus,
     branch_matrix_determinant,
@@ -41,12 +40,10 @@ from .covers import (
     CoverError,
     CoverInvariants,
     compute_invariants,
-    cover_invariants,
     derive_roots,
     make_cover,
     permute_basis,
     run_verification,
-    verify_building_data,
 )
 from .curves import (
     ConfigurationError,
@@ -98,7 +95,6 @@ __all__ = [
     "FixtureError",
     "H2_BOUNDS",
     "LatticeError",
-    "MTriple",
     "NamedCurve",
     "NumericalCase",
     "ROLES",
@@ -116,7 +112,6 @@ __all__ = [
     "classify",
     "classify_with_trace",
     "compute_invariants",
-    "cover_invariants",
     "deformation_certificate",
     "deformation_report",
     "derive_roots",
@@ -142,7 +137,6 @@ __all__ = [
     "sign_elimination_check",
     "surface_from_dict",
     "surface_to_dict",
-    "verify_building_data",
     "verify_fiber_decomposition",
     "verify_fixture",
     "verify_intersection_table",

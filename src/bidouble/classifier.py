@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import NamedTuple
 
 from .lattice import is_perfect_square
 
@@ -138,13 +137,6 @@ def candidate_k_triples_trace(k2: int) -> tuple[list[Triple], list[KRejection]]:
 # ---------------------------------------------------------------------------
 
 
-class MTriple(NamedTuple):
-    m: Triple
-    l: Triple
-    k_sigma_sq: int
-    det_a: int
-
-
 @dataclass(frozen=True)
 class MRejection:
     k: Triple
@@ -167,7 +159,6 @@ def _m_failure(k2: int, k: Triple, m: Triple) -> tuple[str, str] | None:
     Filter order matters only for reporting; the survivor set is the
     intersection of all of them.
     """
-    l = _l_of(k, m)
     k_sum = sum(k)
     m_sum = sum(m)
     for i in range(3):
@@ -184,7 +175,7 @@ def _m_failure(k2: int, k: Triple, m: Triple) -> tuple[str, str] | None:
     det = branch_matrix_determinant(m)
     if not is_perfect_square(det):
         return ("determinant square test", f"det A = {det} is not a square")
-    k_sigma_sq = k2 - sum(l)
+    k_sigma_sq = k2 - sum(_l_of(k, m))
     dk = (k2 - k_sum) // 2
     if k2 * k_sigma_sq > dk * dk:
         return ("base index bound", f"{k2 * k_sigma_sq} > {dk * dk}")
@@ -221,8 +212,8 @@ def _m_domain(k: Triple) -> list[Triple]:
     return [m for m in product(*ranges)]
 
 
-def enumerate_m_triples(k2: int, k: Triple) -> list[MTriple]:
-    """Surviving m-triples for one k, deduplicated and deterministically ordered.
+def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
+    """Surviving cases for one k, deduplicated and deterministically ordered.
 
     Triples related by an index permutation fixing k are the same case;
     one canonical representative per orbit is returned. Order: larger
@@ -231,8 +222,8 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[MTriple]:
     return enumerate_m_triples_trace(k2, k)[0]
 
 
-def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[MTriple], list[MRejection]]:
-    survivors: dict[Triple, MTriple] = {}
+def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:
+    survivors: dict[Triple, NumericalCase] = {}
     rejections: list[MRejection] = []
     for m in _m_domain(k):
         failure = _m_failure(k2, k, m)
@@ -241,15 +232,17 @@ def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[MTriple], list[M
             continue
         canon = _canonical_m(k, m)
         if canon not in survivors:
-            survivors[canon] = MTriple(
-                canon,
-                _l_of(k, canon),
-                k2 - sum(_l_of(k, canon)),
-                branch_matrix_determinant(canon),
+            l = _l_of(k, canon)
+            survivors[canon] = NumericalCase(
+                k2=k2,
+                k=k,
+                m=canon,
+                l=l,
+                k_sigma_sq=k2 - sum(l),
+                det_a=branch_matrix_determinant(canon),
+                status=_status_of(k2, k, canon),
             )
-    ordered = sorted(
-        survivors.values(), key=lambda t: (-sum(t.m), (t.m[2], t.m[1], t.m[0]))
-    )
+    ordered = sorted(survivors.values(), key=lambda c: (-sum(c.m), c.m_reported))
     return ordered, rejections
 
 
@@ -347,18 +340,7 @@ def classify_with_trace(k2: int) -> ClassificationOutcome:
     for k in kept_k:
         survivors, rejections = enumerate_m_triples_trace(k2, k)
         m_rejections.extend(rejections)
-        for record in survivors:
-            cases.append(
-                NumericalCase(
-                    k2=k2,
-                    k=k,
-                    m=record.m,
-                    l=record.l,
-                    k_sigma_sq=record.k_sigma_sq,
-                    det_a=record.det_a,
-                    status=_status_of(k2, k, record.m),
-                )
-            )
+        cases.extend(survivors)
     return ClassificationOutcome(
         cases=tuple(cases),
         k_rejections=tuple(k_rejections),

@@ -31,7 +31,7 @@ import argparse
 import sys
 
 from .certificates import Certificate, canonical_json, check, recorded
-from .classifier import K7_REFERENCE, classify_with_trace
+from .classifier import K7_REFERENCE, ClassificationOutcome, classify_with_trace
 from .cohomology import deformation_certificate
 from .covers import run_verification
 from .curves import enumerate_classes, filter_effective_against_nodal
@@ -47,7 +47,10 @@ from .surface_io import (
 
 def classification_certificate(k2: int) -> Certificate:
     """Certificate comparing classify(k2) against the built-in table."""
-    outcome = classify_with_trace(k2)
+    return _outcome_certificate(k2, classify_with_trace(k2))
+
+
+def _outcome_certificate(k2: int, outcome: ClassificationOutcome) -> Certificate:
     rows = []
     if k2 == 7:
         rows.append(
@@ -84,8 +87,7 @@ def classification_certificate(k2: int) -> Certificate:
     return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
 
 
-def _print_traces(k2: int) -> None:
-    outcome = classify_with_trace(k2)
+def _print_traces(outcome: ClassificationOutcome) -> None:
     for kr in outcome.k_rejections:
         print(f"rejected k={kr.k}: {kr.reason}", file=sys.stderr)
     for mr in outcome.m_rejections:
@@ -104,9 +106,10 @@ def _emit(cert: Certificate, emit: str) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
+    outcome = classify_with_trace(args.k2)
     if args.verbose:
-        _print_traces(args.k2)
-    return _emit(classification_certificate(args.k2), args.emit)
+        _print_traces(outcome)
+    return _emit(_outcome_certificate(args.k2, outcome), args.emit)
 
 
 def _load_target(args: argparse.Namespace) -> SurfaceFile:

@@ -131,9 +131,10 @@ def make_cover(
 
 
 def _congruence_row(row_id: str, description: str, ref: str, left, right) -> CheckRow:
-    if left is None:
+    if left is None or right is None:
+        expected = "unavailable" if right is None else right.coeffs
         return CheckRow(row_id, description + " (root unavailable)", ref, "unavailable",
-                        right.coeffs, "fail")
+                        expected, "fail")
     row = check(row_id, description, ref, left.coeffs, right.coeffs)
     if row.status == "fail":
         residual = right - left
@@ -192,27 +193,15 @@ def building_data_rows(cover: CoverData) -> list[CheckRow]:
             right = None
         else:
             right = cover.roots[j] + cover.roots[k]
-        if right is None:
-            rows.append(
-                CheckRow(
-                    f"building/mixed-{i + 1}",
-                    f"L_{i + 1} + Delta_{i + 1} = L_{j + 1} + L_{k + 1} (root unavailable)",
-                    "building data congruence",
-                    "unavailable",
-                    "unavailable",
-                    "fail",
-                )
+        rows.append(
+            _congruence_row(
+                f"building/mixed-{i + 1}",
+                f"L_{i + 1} + Delta_{i + 1} = L_{j + 1} + L_{k + 1}",
+                "building data congruence",
+                left,
+                right,
             )
-        else:
-            rows.append(
-                _congruence_row(
-                    f"building/mixed-{i + 1}",
-                    f"L_{i + 1} + Delta_{i + 1} = L_{j + 1} + L_{k + 1}",
-                    "building data congruence",
-                    left,
-                    right,
-                )
-            )
+        )
     if all(r is not None for r in cover.roots):
         total_roots = cover.roots[0] + cover.roots[1] + cover.roots[2]
         rows.append(
@@ -225,13 +214,6 @@ def building_data_rows(cover: CoverData) -> list[CheckRow]:
             )
         )
     return rows
-
-
-def verify_building_data(cover: CoverData) -> Certificate:
-    return Certificate(
-        title=f"building data: {cover.surface.label}",
-        rows=tuple(building_data_rows(cover)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +304,6 @@ def compute_invariants(cover: CoverData) -> CoverInvariants:
     )
 
 
-def cover_invariants(cover: CoverData) -> CoverInvariants:
-    """Invariants of verified building data; refuses when the data is broken."""
-    certificate = verify_building_data(cover)
-    if certificate.overall != "pass":
-        failing = ", ".join(r.row_id for r in certificate.failures())
-        raise CoverError(f"building data invalid ({failing}); invariants refused")
-    return compute_invariants(cover)
-
-
 # ---------------------------------------------------------------------------
 # fixture-level expectations and the aggregated certificate
 # ---------------------------------------------------------------------------
@@ -354,9 +327,6 @@ class FixtureExpectations:
     sum_llk: int
     chi_ov: int
     dims: tuple[int, int, int, int]
-    case_k: tuple[int, int, int]
-    case_m_reported: tuple[int, int, int]
-    case_l: tuple[int, int, int]
     k_sigma_sq: int
     table: dict[tuple[str, str], int] = field(default_factory=dict)
     fibers: tuple[FiberDecomposition, ...] = ()
@@ -398,16 +368,16 @@ def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[C
 def _case_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[CheckRow]:
     rows = [
         check("case/k", "fixture (D.B_i) matches the classified k-triple",
-              "classification table", inv.db, expect.case_k),
+              "classification table", inv.db, expect.db),
         check("case/m", "fixture (B_1B_2, B_1B_3, B_2B_3) matches the reported m-triple",
-              "classification table", inv.bb, expect.case_m_reported),
+              "classification table", inv.bb, expect.bb),
         check("case/l", "fixture nodal counts match the classified l-triple",
-              "classification table", inv.l, expect.case_l),
+              "classification table", inv.l, expect.l),
     ]
     matches = [
         case
         for case in classifier.classify(expect.k_s_sq)
-        if case.k == expect.case_k and case.m_reported == expect.case_m_reported
+        if case.k == expect.db and case.m_reported == expect.bb
     ]
     if len(matches) == 1:
         case = matches[0]
@@ -415,7 +385,7 @@ def _case_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[CheckR
             check("case/table", "classifier emits exactly this case with matching l and K_Sigma^2",
                   "classification table",
                   (case.k, case.m_reported, case.l, case.k_sigma_sq),
-                  (expect.case_k, expect.case_m_reported, expect.case_l, expect.k_sigma_sq)),
+                  (expect.db, expect.bb, expect.l, expect.k_sigma_sq)),
         )
         rows.append(recorded("case/status", "status of the matching case in the table",
                              "classification table", case.status))

@@ -82,9 +82,6 @@ _INOUE_EXPECT = FixtureExpectations(
     sum_llk=-6,
     chi_ov=1,
     dims=(7, 1, 0, 0),
-    case_k=(7, 5, 5),
-    case_m_reported=(5, 9, 7),
-    case_l=(2, 0, 2),
     k_sigma_sq=3,
     table={
         ("F1", "F1"): 0,
@@ -180,9 +177,6 @@ _DP1_EXPECT = FixtureExpectations(
     sum_llk=-6,
     chi_ov=1,
     dims=(6, 1, 1, 0),
-    case_k=(5, 5, 3),
-    case_m_reported=(7, 5, 1),
-    case_l=(4, 2, 0),
     k_sigma_sq=1,
     table={
         ("Lambda", "Lambda"): -1,

@@ -107,10 +107,13 @@ def surface_from_dict(data) -> SurfaceFile:
         if (
             not isinstance(delta, list)
             or len(delta) != 3
-            or any(not isinstance(part, list) for part in delta)
+            or any(
+                not isinstance(part, list) or any(not isinstance(n, str) for n in part)
+                for part in delta
+            )
         ):
             raise SurfaceFileError("'cover.delta' must be three lists of curve names")
-        delta_t = tuple(tuple(str(n) for n in part) for part in delta)
+        delta_t = tuple(tuple(part) for part in delta)
         roots_data = cover_data.get("roots")
         if roots_data is None:
             try:
@@ -164,6 +167,8 @@ def load_surface(path: str | Path) -> SurfaceFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SurfaceFileError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise SurfaceFileError(f"invalid JSON in {path}: nested too deeply") from exc
     return surface_from_dict(data)
 
 

@@ -6,11 +6,9 @@ from bidouble.covers import (
     CoverError,
     building_data_rows,
     compute_invariants,
-    cover_invariants,
     make_cover,
     permute_basis,
     run_verification,
-    verify_building_data,
 )
 from bidouble.fixtures import expectations, fixture, verify_fixture
 
@@ -18,9 +16,9 @@ from bidouble.fixtures import expectations, fixture, verify_fixture
 def test_building_data_passes_for_fixtures():
     for name in ("dp1", "inoue"):
         _, cover = fixture(name)
-        cert = verify_building_data(cover)
-        assert cert.overall == "pass"
-        ids = [r.row_id for r in cert.rows]
+        rows = building_data_rows(cover)
+        assert [r for r in rows if r.status != "pass"] == []
+        ids = [r.row_id for r in rows]
         for i in (1, 2, 3):
             assert f"building/double-{i}" in ids
             assert f"building/mixed-{i}" in ids
@@ -112,15 +110,40 @@ def test_dp1_polarization_shape():
     assert inv.d.coeffs == expected.coeffs
 
 
-def test_cover_invariants_refuses_broken_building_data():
+def test_verification_refuses_broken_building_data():
     config, cover = fixture("dp1")
     delta = (cover.delta[0][1:], cover.delta[1], cover.delta[2])
     broken = make_cover(config, delta, cover.roots)
-    with pytest.raises(CoverError) as err:
-        cover_invariants(broken)
-    assert "building/" in str(err.value)
-    # direct computation still works, the gate is only in cover_invariants
+    cert = run_verification(broken, expectations("dp1"), "broken: dp1")
+    assert cert.overall == "fail"
+    assert cert.failures()
+    assert all(r.row_id.startswith("building/") for r in cert.failures())
+    assert cert.rows[-1].row_id == "invariant/skipped"
+    assert not any(r.row_id.startswith("case/") for r in cert.rows)
+    # direct computation still works, the gate is only in run_verification
     compute_invariants(broken)
+
+
+def test_withheld_root_fails_exactly_its_congruences():
+    config, cover = fixture("inoue")
+    roots = (cover.roots[0], None, cover.roots[2])
+    withheld = make_cover(config, cover.delta, roots)
+    cert = run_verification(withheld, expectations("inoue"), "withheld: inoue")
+    failing = {r.row_id: r for r in cert.failures()}
+    assert set(failing) == {
+        "building/double-2", "building/mixed-1", "building/mixed-2", "building/mixed-3",
+    }
+    assert all(r.description.endswith("(root unavailable)") for r in failing.values())
+    assert all(r.computed == "unavailable" for r in failing.values())
+    # the side that does not involve L_2 is still computed
+    assert failing["building/double-2"].expected == (
+        cover.delta_class(0) + cover.delta_class(2)
+    ).coeffs
+    assert failing["building/mixed-2"].expected == (cover.roots[0] + cover.roots[2]).coeffs
+    assert failing["building/mixed-1"].expected == "unavailable"
+    assert failing["building/mixed-3"].expected == "unavailable"
+    assert "building/closure" not in {r.row_id for r in cert.rows}
+    assert cert.rows[-1].row_id == "invariant/skipped"
 
 
 def test_underivable_roots_become_failing_rows():

@@ -46,10 +46,15 @@ def test_enumeration_matches_brute_force(n, s):
 
 
 def test_enumeration_counts():
-    assert len(enumerate_classes(make(8), -1)) == 240
-    assert len(enumerate_classes(make(8), -2)) == 240
-    assert len(enumerate_classes(make(6), -1)) == 27
-    assert len(enumerate_classes(make(6), -2)) == 72
+    # classical counts on the plane blown up in n general points:
+    # (-1)-classes and roots (square -2, K-degree 0) for n = 0..8
+    minus_one = (0, 1, 3, 6, 10, 16, 27, 56, 240)
+    roots = (0, 0, 2, 8, 20, 40, 72, 126, 240)
+    for n in range(9):
+        assert len(enumerate_classes(make(n), -1)) == minus_one[n]
+        assert len(enumerate_classes(make(n), -2)) == roots[n]
+    # conic classes on the degree-one del Pezzo
+    assert len(enumerate_classes(make(8), 0)) == 2160
 
 
 @pytest.mark.parametrize("n,s", [(6, -1), (6, -2), (8, -1), (8, -2)])

@@ -109,6 +109,14 @@ def test_structural_rejection():
     doc["cover"]["delta"] = doc["cover"]["delta"][:2]
     rejects(doc)
 
+    # a delta entry must be a name, not a number that happens to spell one
+    doc = json.loads(json.dumps(base))
+    for curve in doc["curves"]:
+        if curve["name"] == "B3":
+            curve["name"] = "5"
+    doc["cover"]["delta"][2] = [5]
+    rejects(doc)
+
     doc = json.loads(json.dumps(base))
     doc["cover"]["roots"] = doc["cover"]["roots"][:2]
     rejects(doc)
@@ -125,6 +133,10 @@ def test_unreadable_or_invalid_files(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(SurfaceFileError):
         load_surface(bad)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(SurfaceFileError):
+        load_surface(deep)
 
 
 def test_cover_block_is_optional():
