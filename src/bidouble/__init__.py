@@ -40,7 +40,6 @@ from .covers import (
     CoverError,
     CoverInvariants,
     compute_invariants,
-    derive_roots,
     make_cover,
     permute_basis,
     run_verification,
@@ -114,7 +113,6 @@ __all__ = [
     "compute_invariants",
     "deformation_certificate",
     "deformation_report",
-    "derive_roots",
     "eigenspace_dims",
     "enumerate_classes",
     "enumerate_m_triples",

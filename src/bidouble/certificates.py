@@ -26,11 +26,9 @@ def _jsonable(value):
         return value
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if hasattr(value, "coeffs"):
-        return [int(c) for c in value.coeffs]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    return str(value)
+    raise TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ whole classification runs on a handful of integers:
 
 Stage one enumerates the k-triples allowed by character dimensions and by
 the degree of the bicanonical map. Stage two enumerates m-triples against
-a chain of exact inequalities (signature bounds, nonnegativity of an
-adjoint square, a genus bound and a determinant that unimodularity forces
-to be a perfect square). Everything is integer arithmetic; the filters
-are ordered so that a rejected candidate reports the first test it fails.
+a chain of exact tests (parity, signature bounds, a determinant that
+unimodularity forces to be a perfect square and nonnegativity of an adjoint
+square, which implies the genus bound). Everything is integer arithmetic;
+the filters are ordered so that a rejected candidate reports the first test it fails.
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -182,8 +182,6 @@ def _m_failure(k2: int, k: Triple, m: Triple) -> tuple[str, str] | None:
     m_sq = k_sigma_sq + 2 * dk + k2
     if m_sq < 0:
         return ("adjoint square", f"M^2 = {m_sq} < 0")
-    if k2 + dk < 0:
-        return ("genus bound", f"p_a(D) = {(k2 + dk + 2) // 2} < 1")
     return None
 
 
@@ -208,7 +206,7 @@ def _canonical_m(k: Triple, m: Triple) -> Triple:
 
 
 def _m_domain(k: Triple) -> list[Triple]:
-    ranges = [range(((k[i] + 1) % 2) + 1, k[i] + 5, 2) for i in range(3)]
+    ranges = [range(k[i] % 2, k[i] + 5, 2) for i in range(3)]
     return [m for m in product(*ranges)]
 
 
@@ -317,7 +315,6 @@ class ClassificationOutcome:
     cases: tuple[NumericalCase, ...]
     k_rejections: tuple[KRejection, ...]
     m_rejections: tuple[MRejection, ...]
-    validated: bool
 
 
 def _status_of(k2: int, k: Triple, m: Triple) -> str:
@@ -345,7 +342,6 @@ def classify_with_trace(k2: int) -> ClassificationOutcome:
         cases=tuple(cases),
         k_rejections=tuple(k_rejections),
         m_rejections=tuple(m_rejections),
-        validated=(k2 == 7),
     )
 
 

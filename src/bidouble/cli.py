@@ -22,20 +22,21 @@ Four subcommands, all built on the pure library layer:
     Render the deformation bookkeeping certificate for a fixture.
 
 Exit codes: 0 all checks pass, 1 at least one failing row, 2 input
-error (bad flags, unreadable or invalid file, unknown fixture).
+error (bad flags, unreadable or invalid file, unknown fixture), 141
+stdout closed by its reader before the output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .certificates import Certificate, canonical_json, check, recorded
 from .classifier import K7_REFERENCE, ClassificationOutcome, classify_with_trace
 from .cohomology import deformation_certificate
-from .covers import run_verification
 from .curves import enumerate_classes, filter_effective_against_nodal
-from .fixtures import FIXTURE_NAMES, FixtureError, expectations, fixture
+from .fixtures import FIXTURE_NAMES, FixtureError, fixture, verify_surface
 from .lattice import format_class
 from .surface_io import (
     SurfaceFile,
@@ -123,13 +124,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     surface = _load_target(args)
     if surface.cover is None:
         raise SurfaceFileError(f"{args.file}: no cover block, nothing to verify")
-    if surface.label in FIXTURE_NAMES:
-        expect = expectations(surface.label)
-        title = f"fixture verification: {surface.label}"
-    else:
-        expect = None
-        title = f"surface verification: {surface.label}"
-    cert = run_verification(surface.cover, expect, title)
+    cert = verify_surface(surface.label, surface.cover)
     if args.export:
         save_surface(surface, args.export)
     return _emit(cert, args.emit)
@@ -216,7 +211,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows up here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``... | head``): silence the final flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FixtureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .certificates import Certificate
 from .covers import CoverData, FixtureExpectations, make_cover, run_verification
 from .curves import CurveConfiguration, FiberDecomposition, NamedCurve
 from .lattice import SurfaceLattice
@@ -272,6 +273,12 @@ def report_expectations(name: str) -> dict[str, int]:
     return _lookup(name).report
 
 
-def verify_fixture(name: str):
-    _, cover = fixture(name)
-    return run_verification(cover, expectations(name), title=f"fixture verification: {name}")
+def verify_surface(label: str, cover: CoverData) -> Certificate:
+    """Certificate of a cover; a fixture's label brings its frozen expectations."""
+    if label in _FIXTURES:
+        return run_verification(cover, _FIXTURES[label].expect, f"fixture verification: {label}")
+    return run_verification(cover, None, f"surface verification: {label}")
+
+
+def verify_fixture(name: str) -> Certificate:
+    return verify_surface(name, fixture(name)[1])

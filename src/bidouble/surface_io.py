@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .covers import CoverData, derive_roots, make_cover
+from .covers import CoverData, make_cover
 from .curves import ConfigurationError, CurveConfiguration, NamedCurve, ROLES
 from .lattice import LatticeError, SurfaceLattice
 
@@ -113,14 +113,9 @@ def surface_from_dict(data) -> SurfaceFile:
             )
         ):
             raise SurfaceFileError("'cover.delta' must be three lists of curve names")
-        delta_t = tuple(tuple(part) for part in delta)
         roots_data = cover_data.get("roots")
-        if roots_data is None:
-            try:
-                roots = derive_roots(config, delta_t)
-            except ValueError as exc:
-                raise SurfaceFileError(str(exc)) from exc
-        else:
+        roots = None  # derived by make_cover
+        if roots_data is not None:
             if not isinstance(roots_data, list) or len(roots_data) != 3:
                 raise SurfaceFileError("'cover.roots' must be three coefficient vectors")
             roots = tuple(
@@ -130,7 +125,7 @@ def surface_from_dict(data) -> SurfaceFile:
                 for i, v in enumerate(roots_data)
             )
         try:
-            cover = make_cover(config, delta_t, roots)
+            cover = make_cover(config, delta, roots)
         except ValueError as exc:
             raise SurfaceFileError(str(exc)) from exc
     return SurfaceFile(label=label, config=config, cover=cover)

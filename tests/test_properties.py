@@ -9,7 +9,12 @@ from __future__ import annotations
 
 import random
 
-from bidouble.classifier import branch_matrix_determinant, sign_elimination_check
+from bidouble.classifier import (
+    _m_domain,
+    _m_failure,
+    branch_matrix_determinant,
+    sign_elimination_check,
+)
 from bidouble.covers import building_data_rows, make_cover
 from bidouble.curves import enumerate_classes, filter_effective_against_nodal
 from bidouble.fixtures import fixture
@@ -86,6 +91,25 @@ def test_branch_determinant_against_cofactor_oracle():
         m = tuple(rng.randint(-99, 99) for _ in range(3))
         assert branch_matrix_determinant(m) == det_oracle(*m)
         count += 1
+
+
+def test_genus_bound_is_implied_by_earlier_filters():
+    # With dk = (K^2 - sum k) // 2, the genus bound K^2 + dk >= 0 needs no
+    # filter of its own: if it fails, M^2 = 2K^2 - sum l + 2dk <= -sum l - 2 < 0
+    # because every domain m has l_i >= 0. Any k, ordered or not, of either
+    # parity and whether or not stage one keeps it.
+    rng = random.Random(SEED)
+    trials = checked = 0
+    while trials < TRIALS:
+        k2 = rng.randint(1, 5)
+        k = tuple(rng.randint(0, 3 * k2 + 3) for _ in range(3))
+        if k2 + (k2 - sum(k)) // 2 >= 0:
+            continue
+        trials += 1
+        for m in _m_domain(k):
+            assert _m_failure(k2, k, m) is not None, (k2, k, m)
+            checked += 1
+    assert checked > 100 * TRIALS
 
 
 def test_sign_elimination_sweep_never_square():
