@@ -53,7 +53,6 @@ from .curves import (
     enumerate_classes,
     filter_effective_against_nodal,
     verify_fiber_decomposition,
-    verify_intersection_table,
 )
 from .fixtures import FIXTURE_NAMES, FixtureError, expectations, fixture, verify_fixture
 from .lattice import (
@@ -137,7 +136,6 @@ __all__ = [
     "surface_to_dict",
     "verify_fiber_decomposition",
     "verify_fixture",
-    "verify_intersection_table",
 ]
 
 __version__ = "0.1.0"

@@ -23,12 +23,7 @@ from dataclasses import dataclass, field
 
 from . import classifier
 from .certificates import Certificate, CheckRow, check, recorded
-from .curves import (
-    CurveConfiguration,
-    FiberDecomposition,
-    verify_fiber_decomposition,
-    verify_intersection_table,
-)
+from .curves import CurveConfiguration, FiberDecomposition, verify_fiber_decomposition
 from .lattice import DivisorClass, SurfaceLattice, format_class, halve
 
 
@@ -166,7 +161,7 @@ def building_data_rows(cover: CoverData) -> list[CheckRow]:
                 f"building/halvable-{i + 1}",
                 f"Delta_{j + 1} + Delta_{k + 1} is divisible by 2 in the lattice",
                 "integral square root",
-                all(c % 2 == 0 for c in pair_sum.coeffs),
+                halve(pair_sum) is not None,
                 True,
             )
         )
@@ -306,23 +301,23 @@ def compute_invariants(cover: CoverData) -> CoverInvariants:
 
 @dataclass
 class FixtureExpectations:
-    """Frozen expected values for one fixture, compared row by row."""
+    """Frozen expected values for one fixture, compared row by row.
 
+    ``case`` is the fixture's row of the classification table; the k, m,
+    l and K^2 rows are checked against it.
+    """
+
+    case: classifier.NumericalCase
     d_class: tuple[int, ...]
     d_sq: int
     d_kw: int
     m_sq: int
-    db: tuple[int, int, int]
-    bb: tuple[int, int, int]
     b_sq: tuple[int, int, int]
-    l: tuple[int, int, int]
     k_v_sq: int
     blowdown: int
-    k_s_sq: int
     sum_llk: int
     chi_ov: int
     dims: tuple[int, int, int, int]
-    k_sigma_sq: int
     table: dict[tuple[str, str], int] = field(default_factory=dict)
     fibers: tuple[FiberDecomposition, ...] = ()
     d_dot: dict[str, int] = field(default_factory=dict)
@@ -334,23 +329,24 @@ class FixtureExpectations:
 
 def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[CheckRow]:
     ref = "intersection number"
+    case = expect.case
     rows = [
         check("invariant/D", expect.d_description, ref,
               inv.d.coeffs, expect.d_class),
         check("invariant/D2", "D^2", ref, inv.d_sq, expect.d_sq),
         check("invariant/DKW", "D.K_W", ref, inv.d_kw, expect.d_kw),
         check("invariant/M2", "M^2 with M = K_W + D", ref, inv.m_sq, expect.m_sq),
-        check("invariant/DB", "(D.B_1, D.B_2, D.B_3)", ref, inv.db, expect.db),
-        check("invariant/BB", "(B_1B_2, B_1B_3, B_2B_3)", ref, inv.bb, expect.bb),
+        check("invariant/DB", "(D.B_1, D.B_2, D.B_3)", ref, inv.db, case.k),
+        check("invariant/BB", "(B_1B_2, B_1B_3, B_2B_3)", ref, inv.bb, case.m_reported),
         check("invariant/B2", "(B_1^2, B_2^2, B_3^2)", ref, inv.b_sq, expect.b_sq),
         check("invariant/l", "nodal counts (l_1, l_2, l_3)", "nodal bookkeeping",
-              inv.l, expect.l),
+              inv.l, case.l),
         check("invariant/KV2", "K^2 of the smooth cover", ref, inv.k_v_sq, expect.k_v_sq),
         check("invariant/KV2-identity", "K_V^2 = D^2 - 2(l_1+l_2+l_3)", ref,
               inv.k_v_sq, inv.d_sq - 2 * sum(inv.l)),
         check("invariant/blowdown", "number of contracted (-1)-curves, 2(l_1+l_2+l_3)",
               "nodal bookkeeping", inv.blowdown, expect.blowdown),
-        check("invariant/KS2", "K^2 of the minimal model", ref, inv.k_s_sq, expect.k_s_sq),
+        check("invariant/KS2", "K^2 of the minimal model", ref, inv.k_s_sq, case.k2),
         check("invariant/sumLLK", "sum of L_i(L_i + K_W)", ref, inv.sum_llk, expect.sum_llk),
         check("invariant/chiOV", "chi(O) of the cover, 4 + (1/2) sum L_i(L_i+K_W)",
               "double cover Euler characteristic", inv.chi_ov, expect.chi_ov),
@@ -360,35 +356,47 @@ def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[C
     return rows
 
 
-def _case_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[CheckRow]:
+def _case_rows(inv: CoverInvariants, case: classifier.NumericalCase) -> list[CheckRow]:
     rows = [
         check("case/k", "fixture (D.B_i) matches the classified k-triple",
-              "classification table", inv.db, expect.db),
+              "classification table", inv.db, case.k),
         check("case/m", "fixture (B_1B_2, B_1B_3, B_2B_3) matches the reported m-triple",
-              "classification table", inv.bb, expect.bb),
+              "classification table", inv.bb, case.m_reported),
         check("case/l", "fixture nodal counts match the classified l-triple",
-              "classification table", inv.l, expect.l),
+              "classification table", inv.l, case.l),
     ]
-    k2 = expect.k_s_sq
-    cases = (classifier.enumerate_m_triples(k2, expect.db)
-             if expect.db in classifier.candidate_k_triples(k2) else [])
-    matches = [case for case in cases if case.m_reported == expect.bb]
+    cases = (classifier.enumerate_m_triples(case.k2, case.k)
+             if case.k in classifier.candidate_k_triples(case.k2) else [])
+    matches = [found for found in cases if found.m == case.m]
     if len(matches) == 1:
-        case = matches[0]
+        found = matches[0]
         rows.append(
             check("case/table", "classifier emits exactly this case with matching l and K_Sigma^2",
                   "classification table",
-                  (case.k, case.m_reported, case.l, case.k_sigma_sq),
-                  (expect.db, expect.bb, expect.l, expect.k_sigma_sq)),
+                  (found.k, found.m_reported, found.l, found.k_sigma_sq),
+                  (case.k, case.m_reported, case.l, case.k_sigma_sq)),
         )
         rows.append(recorded("case/status", "status of the matching case in the table",
-                             "classification table", case.status))
+                             "classification table", found.status))
     else:
         rows.append(
             check("case/table", "classifier emits exactly one matching case",
                   "classification table", len(matches), 1)
         )
     return rows
+
+
+def _missing_names(config: CurveConfiguration, expect: FixtureExpectations) -> list[str]:
+    """Curve and basis names the expectations use that the configuration lacks."""
+    curves = {name for pair in expect.table for name in pair}
+    for decomposition in expect.fibers:
+        curves.add(decomposition.fiber)
+        curves.update(name for name, _ in decomposition.components)
+    curves.update(expect.d_dot, expect.m_dot)
+    curves.update(name for pair in expect.swap_rows for name in pair)
+    swap = expect.swap_basis or {}
+    basis = {*swap, *swap.values()}
+    return sorted((curves - set(config.names())) | (basis - set(config.lattice.basis_names)))
 
 
 def run_verification(
@@ -440,11 +448,18 @@ def run_verification(
                              "intersection number", inv.to_json_dict()))
         return Certificate(title=title, rows=tuple(rows))
 
-    for t in verify_intersection_table(config, expect.table):
+    missing = _missing_names(config, expect)
+    if missing:
         rows.append(
-            check(f"table/{t.first}.{t.second}",
-                  f"{t.first}.{t.second}", "intersection number",
-                  t.computed, t.expected)
+            check("fixture/names", "every curve and basis name the expectations use exists",
+                  "fixture expectations", missing, [])
+        )
+        return Certificate(title=title, rows=tuple(rows))
+
+    for a, b in sorted(expect.table):
+        rows.append(
+            check(f"table/{a}.{b}", f"{a}.{b}", "intersection number",
+                  config.cls(a).dot(config.cls(b)), expect.table[(a, b)])
         )
 
     for idx, decomposition in enumerate(expect.fibers, start=1):
@@ -472,7 +487,7 @@ def run_verification(
                   inv.m.dot(config.cls(name)), expect.m_dot[name])
         )
 
-    rows.extend(_case_rows(inv, expect))
+    rows.extend(_case_rows(inv, expect.case))
 
     if expect.swap_basis is not None:
         for src, dst in expect.swap_rows:

@@ -216,35 +216,8 @@ def filter_effective_against_nodal(
 
 
 # ---------------------------------------------------------------------------
-# table and fiber checks
+# fiber checks
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TableCheck:
-    first: str
-    second: str
-    computed: int
-    expected: int
-
-    @property
-    def ok(self) -> bool:
-        return self.computed == self.expected
-
-
-def verify_intersection_table(
-    config: CurveConfiguration, expected: dict[tuple[str, str], int]
-) -> list[TableCheck]:
-    """Compare pairwise intersection numbers against an expected table.
-
-    Keys are (name, name); a key naming the same curve twice checks the
-    self-intersection. Results come back in sorted key order.
-    """
-    checks = []
-    for a, b in sorted(expected):
-        value = intersect(config.cls(a), config.cls(b))
-        checks.append(TableCheck(a, b, value, expected[(a, b)]))
-    return checks
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,12 @@ Gamma and E, and two branch components B_2, B_3 of higher degree. The
 roots are stored explicitly.
 
 The expectation tables below hold every frozen value a fixture is checked
-against: the verification certificate and the deformation report. Every
-number in them was recomputed by hand from the coefficient vectors
-before being frozen; the test suite re-derives the same values through
-independent code paths.
+against: the verification certificate and the deformation report. The
+fixture's case data (k, reported m, l, K_Sigma^2 and K^2) are not
+restated here: each fixture takes its row of ``classifier.K7_REFERENCE``,
+the one with status ``realized_<name>``. Every other number was
+recomputed by hand from the coefficient vectors before being frozen; the
+test suite re-derives the same values through independent code paths.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .certificates import Certificate
+from .classifier import K7_REFERENCE, NumericalCase
 from .covers import CoverData, FixtureExpectations, make_cover, run_verification
 from .curves import CurveConfiguration, FiberDecomposition, NamedCurve
 from .lattice import SurfaceLattice
@@ -33,6 +36,11 @@ from .lattice import SurfaceLattice
 
 class FixtureError(KeyError):
     pass
+
+
+def _reference_case(name: str) -> NumericalCase:
+    """The fixture's row of the K^2 = 7 classification table."""
+    return next(case for case in K7_REFERENCE if case.status == f"realized_{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,21 +77,17 @@ _INOUE_DELTA = (
 )
 
 _INOUE_EXPECT = FixtureExpectations(
+    case=_reference_case("inoue"),
     d_class=(5, -1, -2, -2, -1, -2, -2),
     d_sq=7,
     d_kw=-5,
     m_sq=0,
-    db=(7, 5, 5),
-    bb=(5, 9, 7),
     b_sq=(-1, -1, -1),
-    l=(2, 0, 2),
     k_v_sq=-1,
     blowdown=8,
-    k_s_sq=7,
     sum_llk=-6,
     chi_ov=1,
     dims=(7, 1, 0, 0),
-    k_sigma_sq=3,
     table={
         ("F1", "F1"): 0,
         ("F1", "F1'"): 0,
@@ -164,21 +168,17 @@ _DP1_ROOTS = (
 )
 
 _DP1_EXPECT = FixtureExpectations(
+    case=_reference_case("dp1"),
     d_class=(7, -3, -2, -2, -2, -2, -2, -2, -3),
     d_sq=7,
     d_kw=-3,
     m_sq=2,
-    db=(5, 5, 3),
-    bb=(7, 5, 1),
     b_sq=(-1, -1, -1),
-    l=(4, 2, 0),
     k_v_sq=-5,
     blowdown=12,
-    k_s_sq=7,
     sum_llk=-6,
     chi_ov=1,
     dims=(6, 1, 1, 0),
-    k_sigma_sq=1,
     table={
         ("Lambda", "Lambda"): -1,
         ("Lambda", "Fb"): 2,

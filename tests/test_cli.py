@@ -88,6 +88,41 @@ def test_verify_mutated_file_fails(tmp_path, capsys):
     assert any("building/" in line for line in fail_lines)
 
 
+def _relabel(doc):
+    doc["label"] = "inoue"
+
+
+def _drop_lambda(doc):
+    doc["curves"] = [c for c in doc["curves"] if c["name"] != "Lambda"]
+
+
+def _rename_basis_e1_prime(doc):
+    doc["basis"] = ["E1x" if n == "E1'" else n for n in doc["basis"]]
+
+
+@pytest.mark.parametrize("name,mutate,missing", [
+    ("dp1", _drop_lambda, '["Lambda"]'),
+    ("dp1", _relabel, '["E2", "F1", "F1\'", "F2", "F3", "Gamma1", "Gamma2", "Gamma3", '
+                      '"Z", "Z1", "Z2", "Z3"]'),
+    ("inoue", _rename_basis_e1_prime, '["E1\'"]'),
+], ids=["dp1-without-lambda", "dp1-labelled-inoue", "inoue-basis-renamed"])
+def test_fixture_label_with_missing_names_fails_a_row(tmp_path, capsys, name, mutate, missing):
+    path = tmp_path / "surface.json"
+    run(capsys, "verify", "--fixture", name, "--export", str(path))
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--file", str(path))
+    assert (code, err) == (1, "")
+    fail_lines = [line for line in out.splitlines() if "| fail |" in line]
+    assert fail_lines == [
+        "| fixture/names | every curve and basis name the expectations use exists "
+        f"| fixture expectations | {missing} | [] | fail |"
+    ]
+    # the rest of the fixture section is skipped
+    assert "| table/" not in out and "| case/" not in out
+
+
 def test_verify_input_errors_exit_two(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--file", str(tmp_path / "missing.json"))
     assert code == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -13,9 +14,9 @@ from bidouble.curves import (
     enumerate_classes,
     filter_effective_against_nodal,
     verify_fiber_decomposition,
-    verify_intersection_table,
 )
-from bidouble.fixtures import fixture
+from bidouble.covers import run_verification
+from bidouble.fixtures import expectations, fixture
 from bidouble.lattice import LatticeError, SurfaceLattice, arithmetic_genus, self_int
 
 
@@ -178,12 +179,19 @@ def test_configuration_lookup():
 
 
 def test_intersection_table_checks():
-    config, _ = fixture("dp1")
-    checks = verify_intersection_table(config, {("Lambda", "Fb"): 2, ("Lambda", "Lambda"): -1})
-    assert all(c.ok for c in checks)
-    bad = verify_intersection_table(config, {("Lambda", "Fb"): 3})
-    assert not bad[0].ok
-    assert bad[0].computed == 2
+    _, cover = fixture("dp1")
+    table = {("Lambda", "Lambda"): -1, ("Lambda", "Fb"): 3, ("B2", "B3"): 1}
+    expect = dataclasses.replace(expectations("dp1"), table=table)
+    cert = run_verification(cover, expect, "table: dp1")
+    rows = {r.row_id: r for r in cert.rows if r.row_id.startswith("table/")}
+    # sorted key order, not the order the table was written in
+    assert list(rows) == ["table/B2.B3", "table/Lambda.Fb", "table/Lambda.Lambda"]
+    bad = rows["table/Lambda.Fb"]
+    assert (bad.computed, bad.expected, bad.status) == (2, 3, "fail")
+    # a key naming one curve twice checks its self-intersection
+    square = rows["table/Lambda.Lambda"]
+    assert (square.computed, square.expected, square.status) == (-1, -1, "pass")
+    assert [r.row_id for r in cert.failures()] == ["table/Lambda.Fb"]
 
 
 def test_fiber_decomposition_checks():
