@@ -10,10 +10,12 @@ whole classification runs on a handful of integers:
     feeding the i-th intermediate quotient.
 
 Stage one enumerates the k-triples allowed by character dimensions and by
-the degree of the bicanonical map. Stage two enumerates m-triples against
-a chain of exact tests (parity, signature bounds, a determinant that
-unimodularity forces to be a perfect square and nonnegativity of an adjoint
-square, which implies the genus bound). Everything is integer arithmetic;
+the degree of the bicanonical map. Stage two searches only the m-triples
+whose nodal counts l_i = (k_i + 4 - m_i) / 2 are even and nonnegative, so
+m_i = k_i mod 4, ..., k_i + 4 in steps of 4, against a chain of exact tests
+(signature bounds, a determinant that unimodularity forces to be a perfect
+square and nonnegativity of an adjoint square, which implies the genus
+bound). Everything is integer arithmetic;
 the filters are ordered so that a rejected candidate reports the first test it fails.
 
 The numbers 7 appearing in prose above are really K^2; every function
@@ -38,6 +40,12 @@ STATUSES = (
 
 class ClassifierError(ValueError):
     pass
+
+
+# Largest K^2 the search accepts. Stage one alone lists about (K^2)^3 / 48
+# k-triples before any test runs; at 50 the whole classification takes a
+# couple of seconds, and the cost grows steeply from there.
+MAX_K2 = 50
 
 
 Triple = tuple[int, int, int]
@@ -121,6 +129,8 @@ def candidate_k_triples_trace(k2: int) -> tuple[list[Triple], list[KRejection]]:
     """Stage one, also returning each rejected triple with its first failing test."""
     if k2 < 1:
         raise ClassifierError("positive K^2 required")
+    if k2 > MAX_K2:
+        raise ClassifierError(f"K^2 = {k2} is above the supported maximum {MAX_K2}")
     kept: list[Triple] = []
     rejected: list[KRejection] = []
     for k in _k_domain(k2):
@@ -161,9 +171,6 @@ def _m_failure(k2: int, k: Triple, m: Triple) -> tuple[str, str] | None:
     """
     k_sum = sum(k)
     m_sum = sum(m)
-    for i in range(3):
-        if (m[i] - k[i]) % 4:
-            return ("nodal count parity", f"l_{i + 1} odd for m_{i + 1}={m[i]}")
     for i in range(3):
         lhs = k2 * (2 * m[i] - 2)
         rhs = (k[(i + 1) % 3] + k[(i + 2) % 3]) ** 2
@@ -206,8 +213,8 @@ def _canonical_m(k: Triple, m: Triple) -> Triple:
 
 
 def _m_domain(k: Triple) -> list[Triple]:
-    ranges = [range(k[i] % 2, k[i] + 5, 2) for i in range(3)]
-    return [m for m in product(*ranges)]
+    # the m_i with an even nonnegative nodal count l_i (module docstring)
+    return list(product(*(range(k[i] % 4, k[i] + 5, 4) for i in range(3))))
 
 
 def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:

@@ -6,7 +6,8 @@ Four subcommands, all built on the pure library layer:
     Run the two-stage numerical classification for a given canonical
     degree and check the output against the built-in reference table
     (defined for degree 7). ``--verbose`` additionally lists, on stderr,
-    every rejected candidate together with the first test it failed.
+    every rejected candidate of the search together with the first test
+    it failed; m-triples with odd nodal counts are not searched.
 
 ``verify``
     Run the full verification certificate for a bundled fixture or for
@@ -22,7 +23,8 @@ Four subcommands, all built on the pure library layer:
     Render the deformation bookkeeping certificate for a fixture.
 
 Exit codes: 0 all checks pass, 1 at least one failing row, 2 input
-error (bad flags, unreadable or invalid file, unknown fixture), 141
+error (bad flags, unreadable or invalid file, unwritable export path,
+unknown fixture, degree outside 1..MAX_K2), 141
 stdout closed by its reader before the output was written (128 + SIGPIPE).
 """
 

@@ -168,7 +168,8 @@ def load_surface(path: str | Path) -> SurfaceFile:
 
 
 def save_surface(surface: SurfaceFile, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(surface_to_dict(surface), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    text = json.dumps(surface_to_dict(surface), sort_keys=True, indent=2) + "\n"
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SurfaceFileError(f"cannot write {path}: {exc}") from exc

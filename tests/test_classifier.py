@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from bidouble.classifier import (
+    MAX_K2,
     ClassifierError,
     NumericalCase,
     branch_genus,
@@ -76,6 +77,14 @@ def test_stage_one_needs_positive_degree():
             candidate_k_triples_trace(k2)
         with pytest.raises(ClassifierError):
             candidate_k_triples(k2)
+
+
+def test_stage_one_refuses_degree_above_cap():
+    assert candidate_k_triples(MAX_K2)
+    with pytest.raises(ClassifierError, match=f"above the supported maximum {MAX_K2}"):
+        candidate_k_triples_trace(MAX_K2 + 1)
+    with pytest.raises(ClassifierError):
+        classify(MAX_K2 + 1)
 
 
 def test_m_survivors_per_k():

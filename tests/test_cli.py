@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import bidouble
+from bidouble.classifier import MAX_K2
 from bidouble.cli import main
 
 
@@ -37,6 +38,21 @@ def test_classify_nonpositive_degree_is_input_error(capsys):
         assert code == 2
         assert out == ""
         assert err == "error: positive K^2 required\n"
+
+
+def test_classify_degree_above_cap_is_input_error(capsys):
+    code, out, err = run(capsys, "classify", "--k2", str(MAX_K2 + 1), "--verbose")
+    assert (code, out) == (2, "")
+    assert err == f"error: K^2 = {MAX_K2 + 1} is above the supported maximum {MAX_K2}\n"
+
+
+def test_classify_verbose_lists_only_even_nodal_counts(capsys):
+    # 13 stage-one and 89 stage-two rejections; odd-l candidates are outside the domain
+    code, _, err = run(capsys, "classify", "--k2", "7", "--verbose")
+    assert code == 0
+    lines = err.splitlines()
+    assert len(lines) == 102
+    assert not any("nodal count parity" in line for line in lines)
 
 
 def test_classify_json_byte_stable(capsys):
@@ -138,6 +154,15 @@ def test_verify_input_errors_exit_two(tmp_path, capsys):
     no_cover.write_text(json.dumps(doc))
     code, _, _ = run(capsys, "verify", "--file", str(no_cover))
     assert code == 2
+
+
+@pytest.mark.parametrize("target", ["missing/dir/x.json", "."], ids=["no-parent", "directory"])
+def test_verify_export_unwritable_is_input_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    code, out, err = run(capsys, "verify", "--fixture", "dp1", "--export", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_argparse_errors_exit_two():

@@ -8,11 +8,16 @@ single edits of the fixture cover data.
 from __future__ import annotations
 
 import random
+from itertools import product
 
 from bidouble.classifier import (
+    _canonical_m,
     _m_domain,
     _m_failure,
     branch_matrix_determinant,
+    candidate_k_triples,
+    enumerate_m_triples,
+    enumerate_m_triples_trace,
     sign_elimination_check,
 )
 from bidouble.covers import building_data_rows, make_cover
@@ -97,10 +102,11 @@ def test_genus_bound_is_implied_by_earlier_filters():
     # With dk = (K^2 - sum k) // 2, the genus bound K^2 + dk >= 0 needs no
     # filter of its own: if it fails, M^2 = 2K^2 - sum l + 2dk <= -sum l - 2 < 0
     # because every domain m has l_i >= 0. Any k, ordered or not, of either
-    # parity and whether or not stage one keeps it.
+    # parity and whether or not stage one keeps it. Draws continue until both
+    # the trial count and the candidate count are reached.
     rng = random.Random(SEED)
     trials = checked = 0
-    while trials < TRIALS:
+    while trials < TRIALS or checked <= 100 * TRIALS:
         k2 = rng.randint(1, 5)
         k = tuple(rng.randint(0, 3 * k2 + 3) for _ in range(3))
         if k2 + (k2 - sum(k)) // 2 >= 0:
@@ -110,6 +116,28 @@ def test_genus_bound_is_implied_by_earlier_filters():
             assert _m_failure(k2, k, m) is not None, (k2, k, m)
             checked += 1
     assert checked > 100 * TRIALS
+
+
+def test_stage_two_domain_against_full_box():
+    # brute force: every m_i of the parity of k_i up to k_i + 4, with the
+    # even-nodal-count rule l_i = (k_i + 4 - m_i) / 2 applied here rather
+    # than in the search domain
+    for k2 in range(1, 21):
+        for k in candidate_k_triples(k2):
+            survivors, rejections = set(), []
+            for m in product(*(range(k[i] % 2, k[i] + 5, 2) for i in range(3))):
+                if any((m[i] - k[i]) % 4 for i in range(3)):
+                    continue
+                failure = _m_failure(k2, k, m)
+                if failure is None:
+                    survivors.add(_canonical_m(k, m))
+                else:
+                    rejections.append((k, m, *failure))
+            cases = enumerate_m_triples(k2, k)
+            assert len(cases) == len(survivors), (k2, k)
+            assert {c.m for c in cases} == survivors, (k2, k)
+            traced = enumerate_m_triples_trace(k2, k)[1]
+            assert [(r.k, r.m, r.filter_name, r.detail) for r in traced] == rejections
 
 
 def test_sign_elimination_sweep_never_square():
