@@ -10,13 +10,19 @@ whole classification runs on a handful of integers:
     feeding the i-th intermediate quotient.
 
 Stage one enumerates the k-triples allowed by character dimensions and by
-the degree of the bicanonical map. Stage two searches only the m-triples
+the degree of the bicanonical map. Stage two considers only the m-triples
 whose nodal counts l_i = (k_i + 4 - m_i) / 2 are even and nonnegative, so
 m_i = k_i mod 4, ..., k_i + 4 in steps of 4, against a chain of exact tests
 (signature bounds, a determinant that unimodularity forces to be a perfect
 square and nonnegativity of an adjoint square, which implies the genus
-bound). Everything is integer arithmetic;
-the filters are ordered so that a rejected candidate reports the first test it fails.
+bound). Everything is integer arithmetic.
+
+All tests but the determinant are linear bounds on m_i or on
+m_1 + m_2 + m_3, so the search solves them once per k and walks only the
+m inside those bounds, testing the determinant alone there. The traced
+variants walk the whole domain instead and report, for each rejected
+candidate, the first test it fails in filter order; that walk is also
+the oracle the bounded search is tested against.
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -28,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .lattice import is_perfect_square
+from .lattice import index_bound_holds, is_perfect_square
 
 STATUSES = (
     "realized_inoue",
@@ -43,8 +49,9 @@ class ClassifierError(ValueError):
 
 
 # Largest K^2 the search accepts. Stage one alone lists about (K^2)^3 / 48
-# k-triples before any test runs; at 50 the whole classification takes a
-# couple of seconds, and the cost grows steeply from there.
+# k-triples before any test runs; at 50 the traced classification, which
+# walks every candidate, takes a couple of seconds, and the cost grows
+# steeply from there.
 MAX_K2 = 50
 
 
@@ -122,22 +129,20 @@ def _k_failure(k2: int, k: Triple) -> str | None:
 
 def candidate_k_triples(k2: int) -> list[Triple]:
     """Non-increasing triples (K.R_1, K.R_2, K.R_3) surviving stage one."""
-    return candidate_k_triples_trace(k2)[0]
-
-
-def candidate_k_triples_trace(k2: int) -> tuple[list[Triple], list[KRejection]]:
-    """Stage one, also returning each rejected triple with its first failing test."""
     if k2 < 1:
         raise ClassifierError("positive K^2 required")
     if k2 > MAX_K2:
         raise ClassifierError(f"K^2 = {k2} is above the supported maximum {MAX_K2}")
-    kept: list[Triple] = []
-    rejected: list[KRejection] = []
+    return [k for k in _k_domain(k2) if _k_failure(k2, k) is None]
+
+
+def candidate_k_triples_trace(k2: int) -> tuple[list[Triple], list[KRejection]]:
+    """Stage one, also returning each rejected triple with its first failing test."""
+    kept = candidate_k_triples(k2)
+    rejected = []
     for k in _k_domain(k2):
         reason = _k_failure(k2, k)
-        if reason is None:
-            kept.append(k)
-        else:
+        if reason is not None:
             rejected.append(KRejection(k, reason))
     return kept, rejected
 
@@ -169,22 +174,23 @@ def _m_failure(k2: int, k: Triple, m: Triple) -> tuple[str, str] | None:
     Filter order matters only for reporting; the survivor set is the
     intersection of all of them.
     """
+    # each index bound is index_bound_holds(K^2, K.C, C^2) for a class C:
+    # C = R_j + R_k (K.C = k_j + k_k, C^2 = 2m_i - 2), C = R_1 + R_2 + R_3
+    # (K.C = sum k, C^2 = 2(m_1 + m_2 + m_3) - 3), and on the base (dk, K_Sigma^2)
     k_sum = sum(k)
-    m_sum = sum(m)
     for i in range(3):
-        lhs = k2 * (2 * m[i] - 2)
-        rhs = (k[(i + 1) % 3] + k[(i + 2) % 3]) ** 2
-        if lhs > rhs:
-            return ("pairwise index bound", f"{lhs} > {rhs} at i={i + 1}")
-    lhs = k2 * (2 * m_sum - 3)
-    if lhs > k_sum * k_sum:
-        return ("triple index bound", f"{lhs} > {k_sum * k_sum}")
+        kc = k[(i + 1) % 3] + k[(i + 2) % 3]
+        if not index_bound_holds(k2, kc, 2 * m[i] - 2):
+            return ("pairwise index bound", f"{k2 * (2 * m[i] - 2)} > {kc * kc} at i={i + 1}")
+    c_sq = 2 * sum(m) - 3
+    if not index_bound_holds(k2, k_sum, c_sq):
+        return ("triple index bound", f"{k2 * c_sq} > {k_sum * k_sum}")
     det = branch_matrix_determinant(m)
     if not is_perfect_square(det):
         return ("determinant square test", f"det A = {det} is not a square")
     k_sigma_sq = k2 - sum(_l_of(k, m))
     dk = (k2 - k_sum) // 2
-    if k2 * k_sigma_sq > dk * dk:
+    if not index_bound_holds(k2, dk, k_sigma_sq):
         return ("base index bound", f"{k2 * k_sigma_sq} > {dk * dk}")
     m_sq = k_sigma_sq + 2 * dk + k2
     if m_sq < 0:
@@ -200,16 +206,16 @@ def _k_fixing_permutations(k: Triple) -> list[tuple[int, int, int]]:
     return perms
 
 
-def _canonical_m(k: Triple, m: Triple) -> Triple:
-    """Orbit representative under index permutations preserving k.
+def _canonical_m(perms: list[tuple[int, int, int]], m: Triple) -> Triple:
+    """Orbit representative under the index permutations ``perms`` fixing k.
 
     The key (m_2, m_3, m_1) is chosen so that, on the surviving K^2 = 7
     data, the representative obeys the usual reporting conventions
     (reported m_1 <= reported m_2 when the last two k agree, reported
     m_2 >= reported m_3 when the first two agree).
     """
-    orbit = {tuple(m[p[i]] for i in range(3)) for p in _k_fixing_permutations(k)}
-    return max(orbit, key=lambda t: (t[1], t[2], t[0]))  # type: ignore[return-value]
+    orbit = {(m[p[0]], m[p[1]], m[p[2]]) for p in perms}
+    return max(orbit, key=lambda t: (t[1], t[2], t[0]))
 
 
 def _m_domain(k: Triple) -> list[Triple]:
@@ -217,38 +223,74 @@ def _m_domain(k: Triple) -> list[Triple]:
     return list(product(*(range(k[i] % 4, k[i] + 5, 4) for i in range(3))))
 
 
+def _m_bounds(k2: int, k: Triple) -> tuple[Triple, int, int]:
+    """The linear filters of ``_m_failure`` solved for m, once per k.
+
+    Returns (cap on each m_i, least and greatest m_1 + m_2 + m_3). With
+    s = sum k and dk = (K^2 - s) // 2, and sum l = (s + 12 - sum m) / 2:
+    pairwise index bound  m_i <= 1 + (k_j + k_k)^2 // 2K^2;
+    triple index bound    sum m <= (s^2 + 3K^2) // 2K^2;
+    base index bound      K_Sigma^2 = K^2 - sum l <= dk^2 // K^2;
+    adjoint square        K_Sigma^2 + 2dk + K^2 >= 0.
+    """
+    if k2 < 1:
+        raise ClassifierError("positive K^2 required")
+    s = sum(k)
+    dk = (k2 - s) // 2
+    caps = tuple(
+        min(k[i] + 4, 1 + (k[(i + 1) % 3] + k[(i + 2) % 3]) ** 2 // (2 * k2))
+        for i in range(3)
+    )
+    hi = min((s * s + 3 * k2) // (2 * k2), 2 * (dk * dk // k2) - 2 * k2 + s + 12)
+    lo = s + 12 - 4 * k2 - 4 * dk
+    return caps, lo, hi  # type: ignore[return-value]
+
+
 def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
     """Surviving cases for one k, deduplicated and deterministically ordered.
 
-    Triples related by an index permutation fixing k are the same case;
-    one canonical representative per orbit is returned. Order: larger
-    total intersection first, then reported form ascending.
+    Only the m inside the bounds of ``_m_bounds`` are visited, and each is
+    tested for a square determinant. Triples related by an index
+    permutation fixing k are the same case; one canonical representative
+    per orbit is returned. Order: larger total intersection first, then
+    reported form ascending.
     """
-    return enumerate_m_triples_trace(k2, k)[0]
+    caps, lo, hi = _m_bounds(k2, k)
+    perms = _k_fixing_permutations(k)
+    survivors: dict[Triple, NumericalCase] = {}
+    for m1 in range(k[0] % 4, caps[0] + 1, 4):
+        for m2 in range(k[1] % 4, caps[1] + 1, 4):
+            # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
+            least = max(k[2] % 4, lo - m1 - m2)
+            for m3 in range(least, min(caps[2], hi - m1 - m2) + 1, 4):
+                m = (m1, m2, m3)
+                det = branch_matrix_determinant(m)  # symmetric in m
+                if not is_perfect_square(det):
+                    continue
+                canon = _canonical_m(perms, m)
+                if canon not in survivors:
+                    l = _l_of(k, canon)
+                    survivors[canon] = NumericalCase(
+                        k2=k2,
+                        k=k,
+                        m=canon,
+                        l=l,
+                        k_sigma_sq=k2 - sum(l),
+                        det_a=det,
+                        status=_status_of(k2, k, canon),
+                    )
+    return sorted(survivors.values(), key=lambda c: (-sum(c.m), c.m_reported))
 
 
 def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:
-    survivors: dict[Triple, NumericalCase] = {}
-    rejections: list[MRejection] = []
+    """Stage two, also returning each rejected domain m with its first failing test."""
+    cases = enumerate_m_triples(k2, k)
+    rejections = []
     for m in _m_domain(k):
         failure = _m_failure(k2, k, m)
         if failure is not None:
-            rejections.append(MRejection(k, m, failure[0], failure[1]))
-            continue
-        canon = _canonical_m(k, m)
-        if canon not in survivors:
-            l = _l_of(k, canon)
-            survivors[canon] = NumericalCase(
-                k2=k2,
-                k=k,
-                m=canon,
-                l=l,
-                k_sigma_sq=k2 - sum(l),
-                det_a=branch_matrix_determinant(canon),
-                status=_status_of(k2, k, canon),
-            )
-    ordered = sorted(survivors.values(), key=lambda c: (-sum(c.m), c.m_reported))
-    return ordered, rejections
+            rejections.append(MRejection(k, m, *failure))
+    return cases, rejections
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +376,11 @@ def _status_of(k2: int, k: Triple, m: Triple) -> str:
 
 def classify(k2: int) -> list[NumericalCase]:
     """All surviving cases, in table order (k descending, then stage-two order)."""
-    return list(classify_with_trace(k2).cases)
+    return [case for k in candidate_k_triples(k2) for case in enumerate_m_triples(k2, k)]
 
 
 def classify_with_trace(k2: int) -> ClassificationOutcome:
+    """``classify`` with every rejected k and m, each with its first failing test."""
     kept_k, k_rejections = candidate_k_triples_trace(k2)
     cases: list[NumericalCase] = []
     m_rejections: list[MRejection] = []

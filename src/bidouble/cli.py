@@ -5,9 +5,9 @@ Four subcommands, all built on the pure library layer:
 ``classify``
     Run the two-stage numerical classification for a given canonical
     degree and check the output against the built-in reference table
-    (defined for degree 7). ``--verbose`` additionally lists, on stderr,
-    every rejected candidate of the search together with the first test
-    it failed; m-triples with odd nodal counts are not searched.
+    (defined for degree 7). ``--verbose`` additionally walks every
+    candidate and lists, on stderr, each rejected one together with the
+    first test it failed; m-triples with odd nodal counts are not searched.
 
 ``verify``
     Run the full verification certificate for a bundled fixture or for
@@ -33,9 +33,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Sequence
 
 from .certificates import Certificate, canonical_json, check, recorded
-from .classifier import K7_REFERENCE, ClassificationOutcome, classify_with_trace
+from .classifier import (
+    K7_REFERENCE,
+    ClassificationOutcome,
+    NumericalCase,
+    classify,
+    classify_with_trace,
+)
 from .cohomology import deformation_certificate
 from .curves import enumerate_classes, filter_effective_against_nodal
 from .fixtures import FIXTURE_NAMES, FixtureError, fixture, verify_surface
@@ -50,17 +57,17 @@ from .surface_io import (
 
 def classification_certificate(k2: int) -> Certificate:
     """Certificate comparing classify(k2) against the built-in table."""
-    return _outcome_certificate(k2, classify_with_trace(k2))
+    return _outcome_certificate(k2, classify(k2))
 
 
-def _outcome_certificate(k2: int, outcome: ClassificationOutcome) -> Certificate:
+def _outcome_certificate(k2: int, cases: Sequence[NumericalCase]) -> Certificate:
     rows = []
     if k2 == 7:
         rows.append(
             check("table/count", "number of surviving numerical cases",
-                  "classification table", len(outcome.cases), len(K7_REFERENCE))
+                  "classification table", len(cases), len(K7_REFERENCE))
         )
-        by_key = {(case.k, case.m): case.to_json_dict() for case in outcome.cases}
+        by_key = {(case.k, case.m): case.to_json_dict() for case in cases}
         for ref in K7_REFERENCE:
             kk = ".".join(str(v) for v in ref.k)
             mm = ".".join(str(v) for v in ref.m_reported)
@@ -85,7 +92,7 @@ def _outcome_certificate(k2: int, outcome: ClassificationOutcome) -> Certificate
         rows.append(
             recorded("table/unvalidated",
                      "survivors for this degree are reported without validation",
-                     "classification table", [case.to_json_dict() for case in outcome.cases])
+                     "classification table", [case.to_json_dict() for case in cases])
         )
     return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
 
@@ -109,10 +116,13 @@ def _emit(cert: Certificate, emit: str) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    outcome = classify_with_trace(args.k2)
     if args.verbose:
+        outcome = classify_with_trace(args.k2)
         _print_traces(outcome)
-    return _emit(_outcome_certificate(args.k2, outcome), args.emit)
+        cases = outcome.cases
+    else:
+        cases = classify(args.k2)
+    return _emit(_outcome_certificate(args.k2, cases), args.emit)
 
 
 def _load_target(args: argparse.Namespace) -> SurfaceFile:

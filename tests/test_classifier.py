@@ -79,6 +79,16 @@ def test_stage_one_needs_positive_degree():
             candidate_k_triples(k2)
 
 
+def test_stage_two_needs_positive_degree():
+    # the search's bounds divide by K^2, so a degree below 1 is refused
+    # rather than answered with a meaningless list
+    for k2 in (0, -3):
+        with pytest.raises(ClassifierError, match="positive K\\^2 required"):
+            enumerate_m_triples(k2, (1, 1, 1))
+        with pytest.raises(ClassifierError, match="positive K\\^2 required"):
+            enumerate_m_triples_trace(k2, (5, 3, 1))
+
+
 def test_stage_one_refuses_degree_above_cap():
     assert candidate_k_triples(MAX_K2)
     with pytest.raises(ClassifierError, match=f"above the supported maximum {MAX_K2}"):

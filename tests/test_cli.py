@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import bidouble
+from bidouble import classifier
 from bidouble.classifier import MAX_K2
-from bidouble.cli import main
+from bidouble.cli import classification_certificate, main
 
 
 def run(capsys, *argv):
@@ -65,6 +66,19 @@ def test_classify_json_byte_stable(capsys):
     assert "m=(7, 7, 3): triple index bound" in err
     assert "m=(9, 9, 3): determinant square test" in err
     json.loads(first)
+
+
+def test_classification_without_verbose_builds_no_rejections(monkeypatch, capsys):
+    # only --verbose reads rejection records, so nothing else may build one
+    def refuse(*args, **kwargs):
+        raise AssertionError("rejection record built outside --verbose")
+
+    monkeypatch.setattr(classifier, "MRejection", refuse)
+    monkeypatch.setattr(classifier, "KRejection", refuse)
+    assert classification_certificate(15).rows
+    code, out, err = run(capsys, "classify", "--k2", "15")
+    assert (code, err) == (1, "")
+    assert "table/unvalidated" in out
 
 
 def test_classify_verbose_lists_k_rejections(capsys):

@@ -12,6 +12,7 @@ from itertools import product
 
 from bidouble.classifier import (
     _canonical_m,
+    _k_fixing_permutations,
     _m_domain,
     _m_failure,
     branch_matrix_determinant,
@@ -124,13 +125,14 @@ def test_stage_two_domain_against_full_box():
     # than in the search domain
     for k2 in range(1, 21):
         for k in candidate_k_triples(k2):
+            perms = _k_fixing_permutations(k)
             survivors, rejections = set(), []
             for m in product(*(range(k[i] % 2, k[i] + 5, 2) for i in range(3))):
                 if any((m[i] - k[i]) % 4 for i in range(3)):
                     continue
                 failure = _m_failure(k2, k, m)
                 if failure is None:
-                    survivors.add(_canonical_m(k, m))
+                    survivors.add(_canonical_m(perms, m))
                 else:
                     rejections.append((k, m, *failure))
             cases = enumerate_m_triples(k2, k)
@@ -138,6 +140,24 @@ def test_stage_two_domain_against_full_box():
             assert {c.m for c in cases} == survivors, (k2, k)
             traced = enumerate_m_triples_trace(k2, k)[1]
             assert [(r.k, r.m, r.filter_name, r.detail) for r in traced] == rejections
+
+
+def test_bounded_search_against_domain_brute_force():
+    # the closed-form bounds of the search are exact for any k, ordered or
+    # not, of either parity and whether or not stage one keeps it: the
+    # survivors equal the canonical forms of the domain m that pass every
+    # filter of _m_failure
+    rng = random.Random(SEED + 5)
+    nonempty = 0
+    for _ in range(TRIALS):
+        k2 = rng.randint(1, 12)
+        k = tuple(rng.randint(0, k2 + 2) for _ in range(3))
+        perms = _k_fixing_permutations(k)
+        expected = {_canonical_m(perms, m) for m in _m_domain(k)
+                    if _m_failure(k2, k, m) is None}
+        assert {c.m for c in enumerate_m_triples(k2, k)} == expected, (k2, k)
+        nonempty += bool(expected)
+    assert nonempty > TRIALS // 10
 
 
 def test_sign_elimination_sweep_never_square():
