@@ -9,6 +9,12 @@ affect the overall verdict.
 
 JSON output is canonical: keys sorted, two-space indent, trailing newline.
 Two runs over the same data produce byte-identical documents.
+``canonical_json`` normalises and writes in one walk. Its output is byte
+for byte ``json.dumps(v, sort_keys=True, indent=2) + "\n"`` of the
+normalised value v: tuples become lists and dictionary keys become
+``str(key)``. Only certificate values are accepted: None, bools, ints,
+strings, lists, tuples and dicts of them. Anything else, floats included,
+raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -28,7 +34,11 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    raise TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
+    raise _refusal(value)
+
+
+def _refusal(value) -> TypeError:
+    return TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -39,16 +49,6 @@ class CheckRow:
     computed: object
     expected: object
     status: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.row_id,
-            "description": self.description,
-            "ref": self.ref,
-            "computed": _jsonable(self.computed),
-            "expected": _jsonable(self.expected),
-            "status": self.status,
-        }
 
 
 def check(row_id: str, description: str, ref: str, computed, expected) -> CheckRow:
@@ -74,15 +74,19 @@ class Certificate:
     def failures(self) -> list[CheckRow]:
         return [r for r in self.rows if r.status == FAIL]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "overall": self.overall,
-            "rows": [r.to_json_dict() for r in self.rows],
-        }
-
     def to_json(self) -> str:
-        return canonical_json(self.to_json_dict())
+        rows = [
+            {
+                "id": r.row_id,
+                "description": r.description,
+                "ref": r.ref,
+                "computed": r.computed,
+                "expected": r.expected,
+                "status": r.status,
+            }
+            for r in self.rows
+        ]
+        return canonical_json({"title": self.title, "overall": self.overall, "rows": rows})
 
     def to_markdown(self) -> str:
         lines = [f"# {self.title}", ""]
@@ -100,4 +104,73 @@ class Certificate:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The canonical JSON document of a certificate value (see the module docstring)."""
+    parts: list[str] = []
+    _write(obj, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
+
+
+_quote = json.encoder.encode_basestring_ascii
+_EXACT_INT = frozenset((int,))
+
+
+def _write(value, parts: list[str], newline: str) -> None:
+    """Append the JSON text of value; newline is "\n" plus the current indent."""
+    cls = type(value)
+    if cls is str:
+        parts.append(_quote(value))
+    elif cls is int:
+        parts.append(int.__repr__(value))
+    elif cls is list or cls is tuple:
+        _write_list(value, parts, newline)
+    elif cls is dict:
+        _write_dict(value, parts, newline)
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, str):
+        parts.append(_quote(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        _write_list(value, parts, newline)
+    elif isinstance(value, dict):
+        _write_dict(value, parts, newline)
+    else:
+        raise _refusal(value)
+
+
+def _write_list(value, parts: list[str], newline: str) -> None:
+    if not value:
+        parts.append("[]")
+        return
+    inner = newline + "  "
+    if _EXACT_INT.issuperset(map(type, value)):  # no bools, which are ints too
+        parts.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+        return
+    sep = "[" + inner
+    for item in value:
+        parts.append(sep)
+        _write(item, parts, inner)
+        sep = "," + inner
+    parts.append(newline + "]")
+
+
+def _write_dict(value, parts: list[str], newline: str) -> None:
+    items = {str(k): v for k, v in value.items()}
+    if not items:
+        parts.append("{}")
+        return
+    if len(items) < len(value):
+        _jsonable(value)  # keys that collide as strings still need JSON values
+    inner = newline + "  "
+    sep = "{" + inner
+    for key, item in sorted(items.items()):
+        parts.append(sep + _quote(key) + ": ")
+        _write(item, parts, inner)
+        sep = "," + inner
+    parts.append(newline + "}")

@@ -24,7 +24,9 @@ Four subcommands, all built on the pure library layer:
 
 Exit codes: 0 all checks pass, 1 at least one failing row, 2 input
 error (bad flags, unreadable or invalid file, unwritable export path,
-unknown fixture, degree outside 1..MAX_K2), 141
+unknown fixture, degree outside 1..MAX_K2), 3 internal error (any other
+exception, reported as one ``internal error: <Type>: <message>`` line on
+stderr, never a traceback), 141
 stdout closed by its reader before the output was written (128 + SIGPIPE).
 """
 
@@ -98,13 +100,12 @@ def _outcome_certificate(k2: int, cases: Sequence[NumericalCase]) -> Certificate
 
 
 def _print_traces(outcome: ClassificationOutcome) -> None:
-    for kr in outcome.k_rejections:
-        print(f"rejected k={kr.k}: {kr.reason}", file=sys.stderr)
-    for mr in outcome.m_rejections:
-        print(
-            f"rejected k={mr.k} m={mr.m_reported}: {mr.filter_name} ({mr.detail})",
-            file=sys.stderr,
-        )
+    lines = [f"rejected k={kr.k}: {kr.reason}\n" for kr in outcome.k_rejections]
+    lines += [
+        f"rejected k={mr.k} m={mr.m_reported}: {mr.filter_name} ({mr.detail})\n"
+        for mr in outcome.m_rejections
+    ]
+    sys.stderr.write("".join(lines))
 
 
 def _emit(cert: Certificate, emit: str) -> int:
@@ -233,6 +234,9 @@ def main(argv: list[str] | None = None) -> int:
     except (FixtureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

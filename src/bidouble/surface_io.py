@@ -20,6 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from .certificates import canonical_json
 from .covers import CoverData, make_cover
 from .curves import ConfigurationError, CurveConfiguration, NamedCurve, ROLES
 from .lattice import LatticeError, SurfaceLattice
@@ -168,7 +169,7 @@ def load_surface(path: str | Path) -> SurfaceFile:
 
 
 def save_surface(surface: SurfaceFile, path: str | Path) -> None:
-    text = json.dumps(surface_to_dict(surface), sort_keys=True, indent=2) + "\n"
+    text = canonical_json(surface_to_dict(surface))
     try:
         Path(path).write_text(text, encoding="utf-8")
     except OSError as exc:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import bidouble
-from bidouble import classifier
+from bidouble import classifier, cli
 from bidouble.classifier import MAX_K2
 from bidouble.cli import classification_certificate, main
 
@@ -269,3 +269,27 @@ def test_closed_pipe_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise TypeError("unexpected value")
+
+    monkeypatch.setattr(cli, "cmd_classify", broken)
+    code, out, err = run(capsys, "classify", "--k2", "7")
+    assert (code, out) == (3, "")
+    assert err == "internal error: TypeError: unexpected value\n"
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("emit", ["json", "md"])
+def test_unrenderable_certificate_value_is_internal_error(monkeypatch, capsys, emit):
+    # a float reaching a certificate row is a library bug, not a failing row
+    class FloatCase:
+        def to_json_dict(self):
+            return {"K2": 0.5}
+
+    monkeypatch.setattr(cli, "classify", lambda k2: [FloatCase()])
+    code, out, err = run(capsys, "classify", "--k2", "6", "--emit", emit)
+    assert (code, out) == (3, "")
+    assert err == "internal error: TypeError: a certificate value must be JSON data, not float\n"

@@ -50,6 +50,15 @@ def test_file_round_trip(tmp_path):
     assert surface_to_dict(loaded) == surface_to_dict(surface)
 
 
+@pytest.mark.parametrize("name", ["dp1", "inoue"])
+def test_saved_file_is_the_stdlib_canonical_encoding(tmp_path, name):
+    surface = SurfaceFile(name, *fixture(name))
+    path = tmp_path / f"{name}.json"
+    save_surface(surface, path)
+    doc = surface_to_dict(surface)
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_inoue_roots_derived_on_load():
     config, cover = fixture("inoue")
     doc = surface_to_dict(SurfaceFile("inoue", config, cover))
