@@ -19,10 +19,12 @@ bound). Everything is integer arithmetic.
 
 All tests but the determinant are linear bounds on m_i or on
 m_1 + m_2 + m_3, so the search solves them once per k and walks only the
-m inside those bounds, testing the determinant alone there. The traced
-variants walk the whole domain instead and report, for each rejected
-candidate, the first test it fails in filter order; that walk is also
-the oracle the bounded search is tested against.
+m inside those bounds, testing the determinant alone there. Index
+permutations fixing k only relabel a case, so the walk also visits just
+one m per orbit of them: one case per k-stabiliser orbit, walked
+directly. The traced variants walk the whole domain instead and report,
+for each rejected candidate, the first test it fails in filter order;
+that walk is also the oracle the bounded search is tested against.
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -198,26 +200,6 @@ def _m_failure(k2: int, k: Triple, m: Triple) -> tuple[str, str] | None:
     return None
 
 
-def _k_fixing_permutations(k: Triple) -> list[tuple[int, int, int]]:
-    perms = []
-    for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        if all(k[p[i]] == k[i] for i in range(3)):
-            perms.append(p)
-    return perms
-
-
-def _canonical_m(perms: list[tuple[int, int, int]], m: Triple) -> Triple:
-    """Orbit representative under the index permutations ``perms`` fixing k.
-
-    The key (m_2, m_3, m_1) is chosen so that, on the surviving K^2 = 7
-    data, the representative obeys the usual reporting conventions
-    (reported m_1 <= reported m_2 when the last two k agree, reported
-    m_2 >= reported m_3 when the first two agree).
-    """
-    orbit = {(m[p[0]], m[p[1]], m[p[2]]) for p in perms}
-    return max(orbit, key=lambda t: (t[1], t[2], t[0]))
-
-
 def _m_domain(k: Triple) -> list[Triple]:
     # the m_i with an even nonnegative nodal count l_i (module docstring)
     return list(product(*(range(k[i] % 4, k[i] + 5, 4) for i in range(3))))
@@ -247,39 +229,41 @@ def _m_bounds(k2: int, k: Triple) -> tuple[Triple, int, int]:
 
 
 def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
-    """Surviving cases for one k, deduplicated and deterministically ordered.
+    """Surviving cases for one k, one per k-stabiliser orbit, deterministically ordered.
 
     Only the m inside the bounds of ``_m_bounds`` are visited, and each is
     tested for a square determinant. Triples related by an index
-    permutation fixing k are the same case; one canonical representative
-    per orbit is returned. Order: larger total intersection first, then
+    permutation fixing k are the same case, so the walk visits only one
+    member of each orbit. Order: larger total intersection first, then
     reported form ascending.
     """
     caps, lo, hi = _m_bounds(k2, k)
-    perms = _k_fixing_permutations(k)
-    survivors: dict[Triple, NumericalCase] = {}
+    survivors = []
+    # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
+    # the reporting convention (reported m_1 <= reported m_2 when the last
+    # two k agree, reported m_2 >= reported m_3 when the first two do).
+    # Equal k share a residue mod 4, so the tightened starts stay on the grid.
     for m1 in range(k[0] % 4, caps[0] + 1, 4):
-        for m2 in range(k[1] % 4, caps[1] + 1, 4):
+        for m2 in range(m1 if k[1] == k[0] else k[1] % 4, caps[1] + 1, 4):
             # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
-            least = max(k[2] % 4, lo - m1 - m2)
-            for m3 in range(least, min(caps[2], hi - m1 - m2) + 1, 4):
+            least = max(k[2] % 4, lo - m1 - m2, m1 if k[2] == k[0] else 0)
+            most = min(caps[2], hi - m1 - m2, m2 if k[2] == k[1] else caps[2])
+            for m3 in range(least, most + 1, 4):
                 m = (m1, m2, m3)
-                det = branch_matrix_determinant(m)  # symmetric in m
+                det = branch_matrix_determinant(m)
                 if not is_perfect_square(det):
                     continue
-                canon = _canonical_m(perms, m)
-                if canon not in survivors:
-                    l = _l_of(k, canon)
-                    survivors[canon] = NumericalCase(
-                        k2=k2,
-                        k=k,
-                        m=canon,
-                        l=l,
-                        k_sigma_sq=k2 - sum(l),
-                        det_a=det,
-                        status=_status_of(k2, k, canon),
-                    )
-    return sorted(survivors.values(), key=lambda c: (-sum(c.m), c.m_reported))
+                l = _l_of(k, m)
+                survivors.append(NumericalCase(
+                    k2=k2,
+                    k=k,
+                    m=m,
+                    l=l,
+                    k_sigma_sq=k2 - sum(l),
+                    det_a=det,
+                    status=_status_of(k2, k, m),
+                ))
+    return sorted(survivors, key=lambda c: (-sum(c.m), c.m_reported))
 
 
 def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:

@@ -24,10 +24,11 @@ Four subcommands, all built on the pure library layer:
 
 Exit codes: 0 all checks pass, 1 at least one failing row, 2 input
 error (bad flags, unreadable or invalid file, unwritable export path,
-unknown fixture, degree outside 1..MAX_K2), 3 internal error (any other
-exception, reported as one ``internal error: <Type>: <message>`` line on
-stderr, never a traceback), 141
-stdout closed by its reader before the output was written (128 + SIGPIPE).
+unknown fixture, degree outside 1..MAX_K2, a lattice with no class
+enumeration), 3 internal error (any other exception, ``ValueError``
+included, reported as one ``internal error: <Type>: <message>`` line on
+stderr, never a traceback), 141 stdout closed by its reader before the
+output was written (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .certificates import Certificate, canonical_json, check, recorded
 from .classifier import (
     K7_REFERENCE,
     ClassificationOutcome,
+    ClassifierError,
     NumericalCase,
     classify,
     classify_with_trace,
@@ -48,7 +50,7 @@ from .classifier import (
 from .cohomology import deformation_certificate
 from .curves import enumerate_classes, filter_effective_against_nodal
 from .fixtures import FIXTURE_NAMES, FixtureError, fixture, verify_surface
-from .lattice import format_class
+from .lattice import LatticeError, format_class
 from .surface_io import (
     SurfaceFile,
     SurfaceFileError,
@@ -231,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
         # the reader went away (``... | head``): silence the final flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (FixtureError, ValueError) as exc:
+    except (FixtureError, SurfaceFileError, ClassifierError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

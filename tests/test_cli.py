@@ -282,6 +282,27 @@ def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_library_value_error_is_internal_error(monkeypatch, capsys):
+    # only the input-error types exit 2; any other ValueError is a library bug
+    def broken(args):
+        raise ValueError("bad arithmetic")
+
+    monkeypatch.setattr(cli, "cmd_report", broken)
+    code, out, err = run(capsys, "report", "dp1")
+    assert (code, out) == (3, "")
+    assert err == "internal error: ValueError: bad arithmetic\n"
+
+
+def test_enumerate_on_nine_point_lattice_is_input_error(tmp_path, capsys):
+    path = tmp_path / "nine.json"
+    basis = ["L"] + [f"E{i}" for i in range(1, 10)]
+    path.write_text(json.dumps({"label": "nine", "basis": basis, "curves": []}))
+    code, out, err = run(capsys, "enumerate", "--file", str(path), "--selfint", "-1")
+    assert (code, out) == (2, "")
+    assert err == ("error: class enumeration needs K^2 = 9 - n > 0; "
+                   "lattice 'nine' has n = 9\n")
+
+
 @pytest.mark.parametrize("emit", ["json", "md"])
 def test_unrenderable_certificate_value_is_internal_error(monkeypatch, capsys, emit):
     # a float reaching a certificate row is a library bug, not a failing row

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import bidouble
 
 
@@ -9,3 +14,19 @@ def test_star_import_exports_each_name_once():
     exec("from bidouble import *", namespace)
     assert len(bidouble.__all__) == len(set(bidouble.__all__))
     assert set(bidouble.__all__) <= set(namespace)
+
+
+def test_import_loads_no_submodule_and_refuses_unknown_names():
+    # a fresh interpreter: this one has loaded every module already
+    script = (
+        "import sys, bidouble\n"
+        "print(sorted(m for m in sys.modules if m.startswith('bidouble.')))\n"
+        "try:\n"
+        "    bidouble.nosuch\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(bidouble.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert proc.stdout == "[]\nmodule 'bidouble' has no attribute 'nosuch'\n"

@@ -8,11 +8,9 @@ single edits of the fixture cover data.
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 from bidouble.classifier import (
-    _canonical_m,
-    _k_fixing_permutations,
     _m_domain,
     _m_failure,
     branch_matrix_determinant,
@@ -119,25 +117,40 @@ def test_genus_bound_is_implied_by_earlier_filters():
     assert checked > 100 * TRIALS
 
 
+def k_orbit(k, m):
+    # the index permutations of m that fix k relabel the same case
+    return {tuple(m[i] for i in p) for p in permutations(range(3))
+            if tuple(k[i] for i in p) == tuple(k)}
+
+
+def assert_one_case_per_orbit(k2, k, survivors):
+    found = [c.m for c in enumerate_m_triples(k2, k)]
+    orbits = [k_orbit(k, m) for m in found]
+    assert set().union(*orbits) == survivors, (k2, k)
+    assert sum(map(len, orbits)) == len(survivors), (k2, k)
+    # the reported member: m_1 <= m_3 <= m_2 on each index pair whose k agree
+    for m in found:
+        assert k[0] != k[1] or m[0] <= m[1], (k2, k, m)
+        assert k[0] != k[2] or m[0] <= m[2], (k2, k, m)
+        assert k[1] != k[2] or m[2] <= m[1], (k2, k, m)
+
+
 def test_stage_two_domain_against_full_box():
     # brute force: every m_i of the parity of k_i up to k_i + 4, with the
     # even-nodal-count rule l_i = (k_i + 4 - m_i) / 2 applied here rather
     # than in the search domain
     for k2 in range(1, 21):
         for k in candidate_k_triples(k2):
-            perms = _k_fixing_permutations(k)
             survivors, rejections = set(), []
             for m in product(*(range(k[i] % 2, k[i] + 5, 2) for i in range(3))):
                 if any((m[i] - k[i]) % 4 for i in range(3)):
                     continue
                 failure = _m_failure(k2, k, m)
                 if failure is None:
-                    survivors.add(_canonical_m(perms, m))
+                    survivors.add(m)
                 else:
                     rejections.append((k, m, *failure))
-            cases = enumerate_m_triples(k2, k)
-            assert len(cases) == len(survivors), (k2, k)
-            assert {c.m for c in cases} == survivors, (k2, k)
+            assert_one_case_per_orbit(k2, k, survivors)
             traced = enumerate_m_triples_trace(k2, k)[1]
             assert [(r.k, r.m, r.filter_name, r.detail) for r in traced] == rejections
 
@@ -145,17 +158,15 @@ def test_stage_two_domain_against_full_box():
 def test_bounded_search_against_domain_brute_force():
     # the closed-form bounds of the search are exact for any k, ordered or
     # not, of either parity and whether or not stage one keeps it: the
-    # survivors equal the canonical forms of the domain m that pass every
-    # filter of _m_failure
+    # survivors are one member of each k-stabiliser orbit of the domain m
+    # that pass every filter of _m_failure
     rng = random.Random(SEED + 5)
     nonempty = 0
     for _ in range(TRIALS):
         k2 = rng.randint(1, 12)
         k = tuple(rng.randint(0, k2 + 2) for _ in range(3))
-        perms = _k_fixing_permutations(k)
-        expected = {_canonical_m(perms, m) for m in _m_domain(k)
-                    if _m_failure(k2, k, m) is None}
-        assert {c.m for c in enumerate_m_triples(k2, k)} == expected, (k2, k)
+        expected = {m for m in _m_domain(k) if _m_failure(k2, k, m) is None}
+        assert_one_case_per_orbit(k2, k, expected)
         nonempty += bool(expected)
     assert nonempty > TRIALS // 10
 
