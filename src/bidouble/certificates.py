@@ -20,7 +20,8 @@ raises ``TypeError``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+
+from ._record import Record
 
 PASS = "pass"
 FAIL = "fail"
@@ -41,8 +42,7 @@ def _refusal(value) -> TypeError:
     return TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(Record):
     row_id: str
     description: str
     ref: str
@@ -62,8 +62,7 @@ def recorded(row_id: str, description: str, ref: str, value) -> CheckRow:
     return CheckRow(row_id, description, ref, value, None, RECORDED)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     title: str
     rows: tuple[CheckRow, ...]
 

@@ -33,9 +33,9 @@ but only K^2 = 7 is validated against known geometry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import Record
 from .lattice import index_bound_holds, is_perfect_square
 
 STATUSES = (
@@ -95,8 +95,7 @@ def eigenspace_dims(k2: int, k: Triple) -> tuple[int, int, int, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KRejection:
+class KRejection(Record):
     k: Triple
     reason: str
 
@@ -154,8 +153,7 @@ def candidate_k_triples_trace(k2: int) -> tuple[list[Triple], list[KRejection]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MRejection:
+class MRejection(Record):
     k: Triple
     m: Triple
     filter_name: str
@@ -282,8 +280,7 @@ def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NumericalCase:
+class NumericalCase(Record):
     """One consistent set of involution-pair invariants.
 
     m is stored as (R_2.R_3, R_1.R_3, R_1.R_2); the reported order used in
@@ -343,8 +340,7 @@ K7_REFERENCE = (
 )
 
 
-@dataclass(frozen=True)
-class ClassificationOutcome:
+class ClassificationOutcome(Record):
     cases: tuple[NumericalCase, ...]
     k_rejections: tuple[KRejection, ...]
     m_rejections: tuple[MRejection, ...]

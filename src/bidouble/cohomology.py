@@ -12,8 +12,7 @@ the arithmetic stays separate from the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .certificates import Certificate, check, recorded
 from .covers import CoverData, compute_invariants
 from .curves import CurveConfiguration
@@ -87,8 +86,7 @@ _DP1_NOTES = (
 ) + _COMMON_NOTES
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(Record):
     fixture: str
     chi_omega1_k: int
     chi_restrictions: int

@@ -19,9 +19,8 @@ certificate rows so a mutated input produces a readable diff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import classifier
+from ._record import Record
 from .certificates import Certificate, CheckRow, check, recorded
 from .curves import CurveConfiguration, FiberDecomposition, verify_fiber_decomposition
 from .lattice import DivisorClass, SurfaceLattice, format_class, halve
@@ -50,8 +49,7 @@ def permute_basis(cls: DivisorClass, mapping: dict[str, str]) -> DivisorClass:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverData:
+class CoverData(Record):
     """Branch lists and square-root classes of one bidouble cover.
 
     ``roots`` entries may be None when no integral half of the matching
@@ -211,8 +209,7 @@ def building_data_rows(cover: CoverData) -> list[CheckRow]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoverInvariants:
+class CoverInvariants(Record):
     d: DivisorClass
     m: DivisorClass
     d_sq: int
@@ -299,8 +296,7 @@ def compute_invariants(cover: CoverData) -> CoverInvariants:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FixtureExpectations:
+class FixtureExpectations(Record):
     """Frozen expected values for one fixture, compared row by row.
 
     ``case`` is the fixture's row of the classification table; the k, m,
@@ -318,13 +314,18 @@ class FixtureExpectations:
     sum_llk: int
     chi_ov: int
     dims: tuple[int, int, int, int]
-    table: dict[tuple[str, str], int] = field(default_factory=dict)
+    table: dict[tuple[str, str], int] = {}
     fibers: tuple[FiberDecomposition, ...] = ()
-    d_dot: dict[str, int] = field(default_factory=dict)
-    m_dot: dict[str, int] = field(default_factory=dict)
+    d_dot: dict[str, int] = {}
+    m_dot: dict[str, int] = {}
     swap_basis: dict[str, str] | None = None
     swap_rows: tuple[tuple[str, str], ...] = ()
     d_description: str = "class of D = 2K_W + B_1 + B_2 + B_3"
+
+    def __post_init__(self) -> None:
+        # dicts of its own, never the {} defaults every instance shares
+        for name in ("table", "d_dot", "m_dot"):
+            object.__setattr__(self, name, dict(getattr(self, name)))
 
 
 def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[CheckRow]:

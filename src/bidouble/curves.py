@@ -21,9 +21,9 @@ checkable roles validated at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 
+from ._record import Record
 from .lattice import DivisorClass, LatticeError, SurfaceLattice, intersect
 
 ROLES = ("nodal", "minus_one", "fiber", "branch_component", "other")
@@ -128,15 +128,13 @@ def enumerate_classes(lattice: SurfaceLattice, self_sq: int) -> list[DivisorClas
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NamedCurve:
+class NamedCurve(Record):
     name: str
     cls: DivisorClass
     role: str
 
 
-@dataclass(frozen=True)
-class CurveConfiguration:
+class CurveConfiguration(Record):
     """A fixed set of named curves on one lattice.
 
     Roles with a numerical meaning are validated eagerly: a nodal curve
@@ -146,7 +144,6 @@ class CurveConfiguration:
 
     lattice: SurfaceLattice
     curves: tuple[NamedCurve, ...]
-    _index: dict[str, NamedCurve] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index: dict[str, NamedCurve] = {}
@@ -169,7 +166,7 @@ class CurveConfiguration:
                     f"minus_one curve {curve.name!r} has (C^2, K.C) = ({sq}, {kc}), wanted (-1, -1)"
                 )
             index[curve.name] = curve
-        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_index", index)  # a lookup table, not a field
 
     def curve(self, name: str) -> NamedCurve:
         try:
@@ -220,8 +217,7 @@ def filter_effective_against_nodal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiberDecomposition:
+class FiberDecomposition(Record):
     """One reducible member of a fiber class, as (component name, multiplicity)."""
 
     fiber: str

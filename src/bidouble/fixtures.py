@@ -25,8 +25,7 @@ test suite re-derives the same values through independent code paths.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from ._record import Record
 from .certificates import Certificate
 from .classifier import K7_REFERENCE, NumericalCase
 from .covers import CoverData, FixtureExpectations, make_cover, run_verification
@@ -230,7 +229,7 @@ def _build_config(lattice: SurfaceLattice, rows) -> CurveConfiguration:
     )
 
 
-class _Fixture(NamedTuple):
+class _Fixture(Record):
     lattice: SurfaceLattice
     curves: tuple
     delta: tuple[tuple[str, ...], ...]

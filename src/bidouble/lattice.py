@@ -13,8 +13,9 @@ rather than silently zipping coefficient vectors of different meanings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
+
+from ._record import Record
 
 
 class LatticeError(ValueError):
@@ -26,8 +27,7 @@ class LatticeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SurfaceLattice:
+class SurfaceLattice(Record):
     """Picard lattice of the plane blown up in finitely many points.
 
     ``exceptional_names`` fixes both the rank and the printing/serialization
@@ -96,8 +96,7 @@ class SurfaceLattice:
         return DivisorClass(self, (-3,) + (1,) * self.n)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     lattice: SurfaceLattice
     coeffs: tuple[int, ...]
 

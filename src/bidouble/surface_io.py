@@ -17,9 +17,9 @@ input-error exit code rather than a failed check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
+from ._record import Record
 from .certificates import canonical_json
 from .covers import CoverData, make_cover
 from .curves import ConfigurationError, CurveConfiguration, NamedCurve, ROLES
@@ -34,8 +34,7 @@ class SurfaceFileError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SurfaceFile:
+class SurfaceFile(Record):
     label: str
     config: CurveConfiguration
     cover: CoverData | None
@@ -157,11 +156,11 @@ def surface_to_dict(surface: SurfaceFile) -> dict:
 def load_surface(path: str | Path) -> SurfaceFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SurfaceFileError(f"cannot read {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise SurfaceFileError(f"invalid JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise SurfaceFileError(f"invalid JSON in {path}: nested too deeply") from exc

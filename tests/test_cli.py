@@ -170,6 +170,21 @@ def test_verify_input_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["verify"], ["enumerate", "--selfint", "-1"]],
+                         ids=["verify", "enumerate"])
+@pytest.mark.parametrize("content, reason", [
+    (b'\xff{"label": "x"}', "cannot read"),
+    (b'{"label": ' + b"1" * 5000 + b"}", "invalid JSON in"),  # over the int digit limit
+], ids=["not-utf8", "huge-int"])
+def test_unparseable_file_is_input_error(tmp_path, capsys, command, content, reason):
+    path = tmp_path / "surface.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command[0], "--file", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {reason} {path}: ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("target", ["missing/dir/x.json", "."], ids=["no-parent", "directory"])
 def test_verify_export_unwritable_is_input_error(tmp_path, capsys, target):
     path = tmp_path / target

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 
@@ -15,7 +14,7 @@ from bidouble.curves import (
     filter_effective_against_nodal,
     verify_fiber_decomposition,
 )
-from bidouble.covers import run_verification
+from bidouble.covers import FixtureExpectations, run_verification
 from bidouble.fixtures import expectations, fixture
 from bidouble.lattice import LatticeError, SurfaceLattice, arithmetic_genus, self_int
 
@@ -181,7 +180,13 @@ def test_configuration_lookup():
 def test_intersection_table_checks():
     _, cover = fixture("dp1")
     table = {("Lambda", "Lambda"): -1, ("Lambda", "Fb"): 3, ("B2", "B3"): 1}
-    expect = dataclasses.replace(expectations("dp1"), table=table)
+    # dp1's expectations with only this table: no fiber, dot or swap rows
+    dp1 = expectations("dp1")
+    expect = FixtureExpectations(
+        case=dp1.case, d_class=dp1.d_class, d_sq=dp1.d_sq, d_kw=dp1.d_kw, m_sq=dp1.m_sq,
+        b_sq=dp1.b_sq, k_v_sq=dp1.k_v_sq, blowdown=dp1.blowdown, sum_llk=dp1.sum_llk,
+        chi_ov=dp1.chi_ov, dims=dp1.dims, table=table,
+    )
     cert = run_verification(cover, expect, "table: dp1")
     rows = {r.row_id: r for r in cert.rows if r.row_id.startswith("table/")}
     # sorted key order, not the order the table was written in

@@ -30,3 +30,16 @@ def test_import_loads_no_submodule_and_refuses_unknown_names():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
     assert proc.stdout == "[]\nmodule 'bidouble' has no attribute 'nosuch'\n"
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # each costs every process milliseconds of import (see bidouble/_record.py);
+    # -S keeps site and .pth files from loading them first
+    script = (
+        "import sys, bidouble.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+    )
+    src = str(Path(bidouble.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
+    assert proc.stdout == "[]\n"
