@@ -20,10 +20,7 @@ _EXPORTS = {
         "candidate_k_triples", "classify", "classify_with_trace", "eigenspace_dims",
         "enumerate_m_triples", "sign_elimination_check",
     ),
-    "cohomology": (
-        "H2_BOUNDS", "DeformationReport", "chi_branch_restrictions", "chi_rank2_twist",
-        "deformation_certificate", "deformation_report",
-    ),
+    "cohomology": ("chi_branch_restrictions", "chi_rank2_twist", "deformation_certificate"),
     "covers": (
         "CoverData", "CoverError", "CoverInvariants", "compute_invariants", "make_cover",
         "permute_basis", "run_verification",

@@ -120,10 +120,10 @@ def _k_failure(k2: int, k: Triple) -> str | None:
     if min(dims) < 0:
         return "negative character dimension"
     # a divisorial part of degree K^2 means the bicanonical map already has
-    # degree 2 on that involution, pinning the other two parts to be equal
+    # degree 2 on that involution, so at most one part can have it; past
+    # the two tests above, the only triple with two such parts is
+    # (K^2, K^2, K^2), and this rule decides exactly that one
     if k.count(k2) > 1:
-        return "bicanonical degree"
-    if k[0] == k2 and k[1] != k[2]:
         return "bicanonical degree"
     return None
 

@@ -4,19 +4,21 @@ Three exact computations feed the first-order deformation count of the
 covers: the Riemann-Roch value of a twisted rank-2 cotangent sheaf, the
 restriction characteristic over the branch components (all smooth
 rational, which the code checks rather than assumes), and their sum, the
-characteristic of the log-differential sheaf. The dimension statements
-layered on top (vanishing of outer cohomology, per-character upper
-bounds) are imported facts, kept in ``recorded`` rows and report notes so
-the arithmetic stays separate from the inputs.
+characteristic of the log-differential sheaf. ``deformation_certificate``
+computes these and the balance value 2K^2 - 10chi, and checks them
+against the frozen values of the fixture's entry in ``fixtures``. The
+dimension statements layered on top (vanishing of outer cohomology,
+per-character upper bounds) are imported facts: they live in the same
+entry with the provenance notes, and appear as ``recorded`` rows, so the
+arithmetic here stays separate from the inputs and names no fixture.
 """
 
 from __future__ import annotations
 
-from ._record import Record
 from .certificates import Certificate, check, recorded
 from .covers import CoverData, compute_invariants
 from .curves import CurveConfiguration
-from .fixtures import fixture, report_expectations
+from .fixtures import fixture, report_inputs
 from .lattice import DivisorClass, SurfaceLattice, arithmetic_genus
 
 
@@ -61,128 +63,60 @@ def chi_branch_restrictions(config: CurveConfiguration, cover: CoverData, d: Div
 
 
 # ---------------------------------------------------------------------------
-# reports
+# report
 # ---------------------------------------------------------------------------
 
-# Imported per-character upper bounds for the second cohomology of the
-# tangent sheaf in the dp1 analysis: (invariant part, then one per
-# involution). Their total, 7, pairs with the computed h1 bound 3 through
-# the balance equation.
-H2_BOUNDS = (0, 2, 2, 3)
-
-_COMMON_NOTES = (
+_BALANCE_NOTE = (
     "the balance value 2K^2 - 10chi equals h2 - h1 of the tangent sheaf; "
-    "it is computed here, the individual dimensions are not",
+    "it is computed here, the individual dimensions are not"
 )
 
-_DP1_NOTES = (
-    "h1_inv = 3 uses imported vanishing of the 0th and 2nd log-sheaf "
-    "cohomology; only the Euler characteristic -3 is computed here",
-    "stated dimension totals of (h1, h2) = (7, 3) appear alongside derived "
-    "bounds h1 <= 3, h2 <= 7; the two agree only with the labels swapped, "
-    "so both readings are reported and neither is adjudicated",
-    "one source sentence states the per-character bounds for the second "
-    "cohomology while discussing first cohomology; flagged, not resolved",
-) + _COMMON_NOTES
 
+def deformation_certificate(fixture_name: str) -> Certificate:
+    """Deformation bookkeeping of a fixture, checked against its frozen values.
 
-class DeformationReport(Record):
-    fixture: str
-    chi_omega1_k: int
-    chi_restrictions: int
-    chi_log: int
-    balance: int
-    h1_inv: int | None
-    h2_bounds: tuple[int, int, int, int] | None
-    h1_total_bound: int | None
-    h2_total_bound: int | None
-    notes: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.chi_log != self.chi_omega1_k + self.chi_restrictions:
-            raise CohomologyError("log characteristic must be the sum of its two parts")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fixture": self.fixture,
-            "chi_omega1_K": self.chi_omega1_k,
-            "chi_restrictions": self.chi_restrictions,
-            "chi_log": self.chi_log,
-            "balance": self.balance,
-            "h1_inv": self.h1_inv,
-            "h2_bounds": None if self.h2_bounds is None else list(self.h2_bounds),
-            "h1_total_bound": self.h1_total_bound,
-            "h2_total_bound": self.h2_total_bound,
-            "notes": list(self.notes),
-        }
-
-
-def deformation_report(fixture_name: str) -> DeformationReport:
-    """Exact deformation bookkeeping for a fixture.
-
-    The dimension fields are populated only for dp1; the corresponding
-    analysis does not exist for the other fixture, which gets the plain
-    characteristic and balance rows.
+    Every fixture gets the characteristic and balance rows. A fixture
+    whose entry carries imported h2 bounds also gets the invariant h1 row
+    and the recorded inputs and bound totals that go with it.
     """
+    expected, h2_bounds, notes = report_inputs(fixture_name)
     config, cover = fixture(fixture_name)
     kw = config.lattice.canonical_class()
     chi_twist = chi_rank2_twist(config.lattice, kw)
     chi_restr = chi_branch_restrictions(config, cover, kw)
+    chi_log = chi_twist + chi_restr
     inv = compute_invariants(cover)
     balance = 2 * inv.k_s_sq - 10 * inv.chi_ov
-    chi_log = chi_twist + chi_restr
-    dp1 = fixture_name == "dp1"
-    return DeformationReport(
-        fixture=fixture_name,
-        chi_omega1_k=chi_twist,
-        chi_restrictions=chi_restr,
-        chi_log=chi_log,
-        balance=balance,
-        h1_inv=-chi_log if dp1 else None,
-        h2_bounds=H2_BOUNDS if dp1 else None,
-        h1_total_bound=sum(H2_BOUNDS) - balance if dp1 else None,
-        h2_total_bound=sum(H2_BOUNDS) if dp1 else None,
-        notes=_DP1_NOTES if dp1 else _COMMON_NOTES,
-    )
-
-
-def deformation_certificate(fixture_name: str) -> Certificate:
-    """Certificate form of the report, with frozen expected values."""
-    expect = report_expectations(fixture_name)
-    report = deformation_report(fixture_name)
-    rows = [
-        check("report/chi-twist", "chi of the K_W-twisted cotangent sheaf",
-              "Riemann-Roch", report.chi_omega1_k, expect["chi_omega1_K"]),
-        check("report/chi-restrictions", "chi of the branch restrictions at K_W",
-              "rational restriction", report.chi_restrictions, expect["chi_restrictions"]),
-        check("report/chi-log", "chi of the log-differential sheaf (sum of the two parts)",
-              "additivity", report.chi_log, expect["chi_log"]),
-        check("report/balance", "2K^2 - 10chi of the minimal cover",
-              "tangent sheaf balance", report.balance, expect["balance"]),
+    checked = [
+        ("report/chi-twist", "chi of the K_W-twisted cotangent sheaf",
+         "Riemann-Roch", chi_twist),
+        ("report/chi-restrictions", "chi of the branch restrictions at K_W",
+         "rational restriction", chi_restr),
+        ("report/chi-log", "chi of the log-differential sheaf (sum of the two parts)",
+         "additivity", chi_log),
+        ("report/balance", "2K^2 - 10chi of the minimal cover",
+         "tangent sheaf balance", balance),
     ]
-    if report.h1_inv is not None:
-        rows.append(
+    rows = [check(row_id, description, ref, value, expected[row_id])
+            for row_id, description, ref, value in checked]
+    if h2_bounds is not None:
+        h2_total = sum(h2_bounds)
+        h1_total = h2_total - balance
+        rows += [
             check("report/h1-inv", "invariant first cohomology of the tangent sheaf",
-                  "tangent sheaf balance", report.h1_inv, expect["h1_inv"])
-        )
-        rows.append(
+                  "tangent sheaf balance", -chi_log, expected["report/h1-inv"]),
             recorded("report/h0-h2-vanishing",
                      "0th and 2nd log-sheaf cohomology vanish (imported input)",
-                     "imported vanishing", "imported, not derived")
-        )
-        rows.append(
+                     "imported vanishing", "imported, not derived"),
             recorded("report/h2-bounds",
-                     "per-character upper bounds for second tangent cohomology, "
-                     f"total {sum(H2_BOUNDS)}",
-                     "imported bounds", list(H2_BOUNDS))
-        )
-        rows.append(
+                     f"per-character upper bounds for second tangent cohomology, total {h2_total}",
+                     "imported bounds", list(h2_bounds)),
             recorded("report/h-totals",
-                     "bound totals: h1 <= 3 and h2 <= 7; their difference equals the balance",
+                     f"bound totals: h1 <= {h1_total} and h2 <= {h2_total}; "
+                     "their difference equals the balance",
                      "tangent sheaf balance",
-                     {"h1_total_bound": report.h1_total_bound,
-                      "h2_total_bound": report.h2_total_bound}),
-        )
-    for i, note in enumerate(report.notes, start=1):
+                     {"h1_total_bound": h1_total, "h2_total_bound": h2_total}),
+        ]
+    for i, note in enumerate(notes + (_BALANCE_NOTE,), start=1):
         rows.append(recorded(f"report/note-{i}", note, "provenance note", "noted"))
     return Certificate(title=f"deformation report: {fixture_name}", rows=tuple(rows))

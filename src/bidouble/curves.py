@@ -43,21 +43,30 @@ def _ceil_div(a: int, b: int) -> int:
 
 
 def _degree_range(n: int, s: int) -> range:
-    """Integer degrees a allowed by Cauchy-Schwarz across all n slots.
+    """Exactly the integer degrees a allowed by Cauchy-Schwarz across all n slots.
 
     (s + 2 - 3a)^2 <= n (a^2 - s) rearranges to a quadratic in a with
     leading coefficient 9 - n > 0, so the solution set is an interval.
     """
+
+    def holds(a: int) -> bool:
+        return (s + 2 - 3 * a) ** 2 <= n * (a * a - s)
+
     # (9-n) a^2 - 6(s+2) a + (s+2)^2 + n s <= 0
     lead = 9 - n
     disc = 4 * n * ((s + 2) ** 2 - lead * s)
     if disc < 0:
         return range(0)
     root = isqrt(disc)
-    # exact floor/ceil of (6(s+2) -+ sqrt(disc)) / (2 lead); widen by the
-    # one-off error of isqrt truncation, the per-degree test re-filters.
-    lo = _ceil_div(6 * (s + 2) - root - 1, 2 * lead)
-    hi = (6 * (s + 2) + root + 1) // (2 * lead)
+    # the real ends are (6(s+2) -+ sqrt(disc)) / (2 lead); isqrt truncates
+    # by less than one, so each integer end is this candidate or the next
+    # one outward, and the inequality itself decides which
+    lo = _ceil_div(6 * (s + 2) - root, 2 * lead)
+    hi = (6 * (s + 2) + root) // (2 * lead)
+    if holds(lo - 1):
+        lo -= 1
+    if holds(hi + 1):
+        hi += 1
     return range(lo, hi + 1)
 
 
@@ -115,8 +124,6 @@ def enumerate_classes(lattice: SurfaceLattice, self_sq: int) -> list[DivisorClas
     for a in _degree_range(n, self_sq):
         target_sum = self_sq + 2 - 3 * a
         target_sq = a * a - self_sq
-        if target_sum * target_sum > n * target_sq:
-            continue
         for b in _solve_sum_square(n, target_sum, target_sq):
             found.append(lattice.divisor((a,) + b))
     found.sort(key=lambda c: c.coeffs)

@@ -15,12 +15,16 @@ Gamma and E, and two branch components B_2, B_3 of higher degree. The
 roots are stored explicitly.
 
 The expectation tables below hold every frozen value a fixture is checked
-against: the verification certificate and the deformation report. The
-fixture's case data (k, reported m, l, K_Sigma^2 and K^2) are not
-restated here: each fixture takes its row of ``classifier.K7_REFERENCE``,
-the one with status ``realized_<name>``. Every other number was
-recomputed by hand from the coefficient vectors before being frozen; the
-test suite re-derives the same values through independent code paths.
+against: the verification certificate and the deformation report. A
+fixture's entry also holds every other input of its deformation report:
+the frozen values are keyed by the ``report/...`` row id each one checks,
+and dp1 alone carries imported second-cohomology bounds, which give it
+the h1 rows, and provenance notes. The fixture's case data (k, reported
+m, l, K_Sigma^2 and K^2) are not restated here: each fixture takes its
+row of ``classifier.K7_REFERENCE``, the one with status
+``realized_<name>``. Every other number was recomputed by hand from the
+coefficient vectors before being frozen; the test suite re-derives the
+same values through independent code paths.
 """
 
 from __future__ import annotations
@@ -120,10 +124,10 @@ _INOUE_EXPECT = FixtureExpectations(
 )
 
 _INOUE_REPORT = {
-    "chi_omega1_K": -4,
-    "chi_restrictions": 0,
-    "chi_log": -4,
-    "balance": 4,
+    "report/chi-twist": -4,
+    "report/chi-restrictions": 0,
+    "report/chi-log": -4,
+    "report/balance": 4,
 }
 
 
@@ -209,12 +213,27 @@ _DP1_EXPECT = FixtureExpectations(
 )
 
 _DP1_REPORT = {
-    "chi_omega1_K": -8,
-    "chi_restrictions": 5,
-    "chi_log": -3,
-    "balance": 4,
-    "h1_inv": 3,
+    "report/chi-twist": -8,
+    "report/chi-restrictions": 5,
+    "report/chi-log": -3,
+    "report/balance": 4,
+    "report/h1-inv": 3,
 }
+
+# Imported per-character upper bounds for the second cohomology of the
+# tangent sheaf in the dp1 analysis: (invariant part, then one per
+# involution). The report pairs their total with the balance to bound h1.
+_DP1_H2_BOUNDS = (0, 2, 2, 3)
+
+_DP1_NOTES = (
+    "h1_inv = 3 uses imported vanishing of the 0th and 2nd log-sheaf "
+    "cohomology; only the Euler characteristic -3 is computed here",
+    "stated dimension totals of (h1, h2) = (7, 3) appear alongside derived "
+    "bounds h1 <= 3, h2 <= 7; the two agree only with the labels swapped, "
+    "so both readings are reported and neither is adjudicated",
+    "one source sentence states the per-character bounds for the second "
+    "cohomology while discussing first cohomology; flagged, not resolved",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +254,22 @@ class _Fixture(Record):
     delta: tuple[tuple[str, ...], ...]
     roots: tuple[tuple[int, ...], ...] | None  # None: derived by halving
     expect: FixtureExpectations
-    report: dict[str, int]  # frozen values of the deformation report
+    # deformation report inputs: frozen values keyed by the row id each
+    # one checks, imported h2 bounds (None: no h1 analysis, so no h1 rows)
+    # and provenance notes
+    report: dict[str, int]
+    h2_bounds: tuple[int, ...] | None
+    notes: tuple[str, ...]
 
 
 _FIXTURES = {
     "dp1": _Fixture(
-        _DP1_LATTICE, _DP1_CURVES, _DP1_DELTA, _DP1_ROOTS, _DP1_EXPECT, _DP1_REPORT
+        _DP1_LATTICE, _DP1_CURVES, _DP1_DELTA, _DP1_ROOTS, _DP1_EXPECT,
+        _DP1_REPORT, _DP1_H2_BOUNDS, _DP1_NOTES,
     ),
     "inoue": _Fixture(
-        _INOUE_LATTICE, _INOUE_CURVES, _INOUE_DELTA, None, _INOUE_EXPECT, _INOUE_REPORT
+        _INOUE_LATTICE, _INOUE_CURVES, _INOUE_DELTA, None, _INOUE_EXPECT,
+        _INOUE_REPORT, None, (),
     ),
 }
 
@@ -267,9 +293,10 @@ def expectations(name: str) -> FixtureExpectations:
     return _lookup(name).expect
 
 
-def report_expectations(name: str) -> dict[str, int]:
-    """Frozen values for the deformation report of a fixture."""
-    return _lookup(name).report
+def report_inputs(name: str) -> tuple[dict[str, int], tuple[int, ...] | None, tuple[str, ...]]:
+    """A fixture's deformation report inputs: frozen values, h2 bounds, notes."""
+    entry = _lookup(name)
+    return entry.report, entry.h2_bounds, entry.notes
 
 
 def verify_surface(label: str, cover: CoverData) -> Certificate:

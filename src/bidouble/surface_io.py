@@ -17,7 +17,6 @@ input-error exit code rather than a failed check.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 from ._record import Record
 from .certificates import canonical_json
@@ -28,6 +27,13 @@ from .lattice import LatticeError, SurfaceLattice
 _TOP_KEYS = {"label", "basis", "signature", "curves", "cover"}
 _CURVE_KEYS = {"name", "class", "role"}
 _COVER_KEYS = {"delta", "roots"}
+
+# Largest absolute value of a class or root coefficient a file may carry.
+# Every number a certificate prints is a polynomial of low degree in the
+# coefficients (pairings are quadratic), so this bound keeps them all far
+# below the 4300-digit limit of Python's int-to-string conversion, which a
+# coefficient that is itself legal JSON could otherwise exceed.
+MAX_COEFFICIENT = 10**100
 
 
 class SurfaceFileError(ValueError):
@@ -47,6 +53,8 @@ def _int_vector(value, rank: int, what: str) -> tuple[int, ...]:
     for entry in value:
         if isinstance(entry, bool) or not isinstance(entry, int):
             raise SurfaceFileError(f"{what} must contain integers only, got {entry!r}")
+        if abs(entry) > MAX_COEFFICIENT:
+            raise SurfaceFileError(f"{what} has a coefficient above 10**100 in absolute value")
         out.append(entry)
     return tuple(out)
 
@@ -153,9 +161,10 @@ def surface_to_dict(surface: SurfaceFile) -> dict:
     return doc
 
 
-def load_surface(path: str | Path) -> SurfaceFile:
+def load_surface(path: str) -> SurfaceFile:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SurfaceFileError(f"cannot read {path}: {exc}") from exc
     try:
@@ -167,9 +176,10 @@ def load_surface(path: str | Path) -> SurfaceFile:
     return surface_from_dict(data)
 
 
-def save_surface(surface: SurfaceFile, path: str | Path) -> None:
+def save_surface(surface: SurfaceFile, path: str) -> None:
     text = canonical_json(surface_to_dict(surface))
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     except OSError as exc:
         raise SurfaceFileError(f"cannot write {path}: {exc}") from exc

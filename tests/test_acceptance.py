@@ -17,7 +17,7 @@ from bidouble.classifier import (
     enumerate_m_triples_trace,
 )
 from bidouble.cli import main
-from bidouble.cohomology import deformation_certificate, deformation_report
+from bidouble.cohomology import deformation_certificate
 from bidouble.curves import enumerate_classes, filter_effective_against_nodal
 from bidouble.fixtures import fixture, verify_fixture
 from bidouble.lattice import SurfaceLattice, is_perfect_square
@@ -154,18 +154,15 @@ def test_c6_enumeration_counts():
 
 
 def test_c7_dp1_deformation_report():
-    rep = deformation_report("dp1")
-    assert rep.chi_omega1_k == -8
-    assert rep.chi_restrictions == 5
-    assert rep.chi_log == -3
-    assert rep.h1_inv == 3
-    assert rep.balance == 4
-    assert rep.h2_bounds == (0, 2, 2, 3)
-    assert sum(rep.h2_bounds) == 7
-
     cert = deformation_certificate("dp1")
     assert cert.overall == "pass"
     rows = rows_by_id(cert)
+    assert rows["report/chi-twist"].computed == -8
+    assert rows["report/chi-restrictions"].computed == 5
+    assert rows["report/chi-log"].computed == -3
+    assert rows["report/h1-inv"].computed == 3
+    assert rows["report/balance"].computed == 4
+    assert sum(rows["report/h2-bounds"].computed) == 7
     assert rows["report/h2-bounds"].status == "recorded"
     assert tuple(rows["report/h2-bounds"].computed) == (0, 2, 2, 3)
 

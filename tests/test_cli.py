@@ -12,6 +12,8 @@ import bidouble
 from bidouble import classifier, cli
 from bidouble.classifier import MAX_K2
 from bidouble.cli import classification_certificate, main
+from bidouble.fixtures import fixture
+from bidouble.surface_io import SurfaceFile, surface_to_dict
 
 
 def run(capsys, *argv):
@@ -170,18 +172,29 @@ def test_verify_input_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def oversized_degree_file() -> bytes:
+    # a legal JSON integer whose pairings pass the 4300-digit limit once the
+    # roots are derived and the invariants computed
+    doc = surface_to_dict(SurfaceFile("big", *fixture("dp1")))
+    del doc["cover"]["roots"]
+    next(c for c in doc["curves"] if c["name"] == "Fb")["class"][0] = int("9" * 3000)
+    return json.dumps(doc).encode()
+
+
 @pytest.mark.parametrize("command", [["verify"], ["enumerate", "--selfint", "-1"]],
                          ids=["verify", "enumerate"])
-@pytest.mark.parametrize("content, reason", [
-    (b'\xff{"label": "x"}', "cannot read"),
-    (b'{"label": ' + b"1" * 5000 + b"}", "invalid JSON in"),  # over the int digit limit
-], ids=["not-utf8", "huge-int"])
-def test_unparseable_file_is_input_error(tmp_path, capsys, command, content, reason):
+@pytest.mark.parametrize("content, start", [
+    (b'\xff{"label": "x"}', "cannot read {path}: "),
+    (b'{"label": ' + b"1" * 5000 + b"}", "invalid JSON in {path}: "),  # over the int digit limit
+    (oversized_degree_file(),
+     "class of curve 'Fb' has a coefficient above 10**100 in absolute value"),
+], ids=["not-utf8", "huge-int", "huge-coefficient"])
+def test_unparseable_file_is_input_error(tmp_path, capsys, command, content, start):
     path = tmp_path / "surface.json"
     path.write_bytes(content)
     code, out, err = run(capsys, command[0], "--file", str(path), *command[1:])
     assert (code, out) == (2, "")
-    assert err.startswith(f"error: {reason} {path}: ")
+    assert err.startswith("error: " + start.format(path=path))
     assert len(err.splitlines()) == 1
 
 

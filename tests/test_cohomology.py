@@ -4,16 +4,13 @@ import pytest
 
 from bidouble.cohomology import (
     CohomologyError,
-    DeformationReport,
-    H2_BOUNDS,
     chi_branch_restrictions,
     chi_rank2_twist,
     deformation_certificate,
-    deformation_report,
 )
 from bidouble.covers import compute_invariants
 from bidouble.curves import CurveConfiguration, NamedCurve
-from bidouble.fixtures import FixtureError, fixture
+from bidouble.fixtures import FixtureError, fixture, report_inputs
 from bidouble.lattice import SurfaceLattice
 
 
@@ -78,41 +75,41 @@ def test_chi_branch_restrictions_requires_rational_components():
         chi_branch_restrictions(config, cover, lat.canonical_class())
 
 
+def report_values(name):
+    return {r.row_id: r.computed for r in deformation_certificate(name).rows}
+
+
 def test_deformation_report_dp1():
-    rep = deformation_report("dp1")
-    assert rep.chi_omega1_k == -8
-    assert rep.chi_restrictions == 5
-    assert rep.chi_log == -3
-    assert rep.balance == 4
-    assert rep.h1_inv == 3
-    assert rep.h2_bounds == (0, 2, 2, 3)
-    assert rep.h1_total_bound == 3
-    assert rep.h2_total_bound == 7
-    assert rep.notes
+    values = report_values("dp1")
+    assert values["report/chi-twist"] == -8
+    assert values["report/chi-restrictions"] == 5
+    assert values["report/chi-log"] == -3
+    assert values["report/balance"] == 4
+    assert values["report/h1-inv"] == 3
+    assert values["report/h2-bounds"] == [0, 2, 2, 3]
+    assert values["report/h-totals"] == {"h1_total_bound": 3, "h2_total_bound": 7}
+    assert [k for k in values if k.startswith("report/note-")] == [
+        f"report/note-{i}" for i in range(1, 5)
+    ]
 
 
 def test_deformation_report_inoue():
-    rep = deformation_report("inoue")
-    assert rep.chi_omega1_k == -4
-    assert rep.chi_restrictions == 0
-    assert rep.chi_log == -4
-    assert rep.balance == 4
-    assert rep.h1_inv is None
-    assert rep.h2_bounds is None
+    values = report_values("inoue")
+    assert values["report/chi-twist"] == -4
+    assert values["report/chi-restrictions"] == 0
+    assert values["report/chi-log"] == -4
+    assert values["report/balance"] == 4
+    assert "report/h1-inv" not in values
+    assert "report/h2-bounds" not in values
+    assert "report/h-totals" not in values
+    assert [k for k in values if k.startswith("report/note-")] == ["report/note-1"]
 
 
-def test_report_additivity_enforced():
-    rep = deformation_report("inoue")
-    with pytest.raises(CohomologyError):
-        DeformationReport(
-            fixture=rep.fixture,
-            chi_omega1_k=rep.chi_omega1_k,
-            chi_restrictions=rep.chi_restrictions,
-            chi_log=rep.chi_log + 1,
-            balance=rep.balance,
-            h1_inv=None, h2_bounds=None,
-            h1_total_bound=None, h2_total_bound=None,
-            notes=rep.notes,
+def test_log_characteristic_is_the_sum_of_its_parts():
+    for name in ("dp1", "inoue"):
+        values = report_values(name)
+        assert values["report/chi-log"] == (
+            values["report/chi-twist"] + values["report/chi-restrictions"]
         )
 
 
@@ -120,12 +117,41 @@ def test_balance_matches_cover_invariants():
     for name in ("dp1", "inoue"):
         _, cover = fixture(name)
         inv = compute_invariants(cover)
-        rep = deformation_report(name)
-        assert rep.balance == 2 * inv.k_s_sq - 10 * inv.chi_ov == 4
+        assert report_values(name)["report/balance"] == 2 * inv.k_s_sq - 10 * inv.chi_ov == 4
 
 
 def test_h2_bounds_total():
-    assert sum(H2_BOUNDS) == 7
+    cert = deformation_certificate("dp1")
+    rows = {r.row_id: r for r in cert.rows}
+    bounds = rows["report/h2-bounds"].computed
+    totals = rows["report/h-totals"].computed
+    assert totals["h2_total_bound"] == sum(bounds) == 7
+    assert totals["h2_total_bound"] - totals["h1_total_bound"] == rows["report/balance"].computed
+    assert "h1 <= 3 and h2 <= 7" in rows["report/h-totals"].description
+    assert "total 7" in rows["report/h2-bounds"].description
+
+
+def test_report_rows_follow_the_fixture_entry(monkeypatch):
+    # the h1 rows come from the inputs an entry carries, not from its name
+    from bidouble import cohomology
+
+    expected, _, _ = report_inputs("inoue")
+    with_h1 = dict(expected, **{"report/h1-inv": 4})
+    monkeypatch.setattr(cohomology, "report_inputs",
+                        lambda name: (with_h1, (1, 1, 1, 1), ("a note",)))
+    cert = deformation_certificate("inoue")
+    rows = {r.row_id: r for r in cert.rows}
+    assert cert.overall == "pass"
+    assert rows["report/h1-inv"].computed == 4
+    assert rows["report/h-totals"].computed == {"h1_total_bound": 0, "h2_total_bound": 4}
+    assert rows["report/h-totals"].description.startswith("bound totals: h1 <= 0 and h2 <= 4;")
+    assert rows["report/note-1"].description == "a note"
+    assert rows["report/note-2"].description.startswith("the balance value")
+
+    wrong = dict(expected, **{"report/chi-log": 0})
+    monkeypatch.setattr(cohomology, "report_inputs", lambda name: (wrong, None, ()))
+    cert = deformation_certificate("inoue")
+    assert [r.row_id for r in cert.failures()] == ["report/chi-log"]
 
 
 def test_deformation_certificates():
@@ -142,9 +168,3 @@ def test_deformation_certificates():
     assert "report/h2-bounds" in dp1_ids
     with pytest.raises(FixtureError):
         deformation_certificate("nope")
-
-
-def test_report_json_shape():
-    doc = deformation_report("dp1").to_json_dict()
-    assert doc["chi_omega1_K"] == -8
-    assert doc["balance"] == 4

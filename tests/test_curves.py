@@ -10,6 +10,7 @@ from bidouble.curves import (
     CurveConfiguration,
     FiberDecomposition,
     NamedCurve,
+    _degree_range,
     enumerate_classes,
     filter_effective_against_nodal,
     verify_fiber_decomposition,
@@ -43,6 +44,18 @@ def test_enumeration_matches_brute_force(n, s):
     lat = make(n)
     got = [c.coeffs for c in enumerate_classes(lat, s)]
     assert got == brute_force_classes(lat, s)
+
+
+def test_degree_range_is_exactly_the_cauchy_schwarz_interval():
+    # the degrees a with (s + 2 - 3a)^2 <= n (a^2 - s), found by scanning a
+    # window wide enough to hold every interval in this sweep
+    for n in range(9):
+        for s in range(-4, 15):
+            window = range(-200, 201)
+            want = [a for a in window if (s + 2 - 3 * a) ** 2 <= n * (a * a - s)]
+            got = _degree_range(n, s)
+            assert list(got) == want, (n, s)
+            assert not want or (want[0] > window[0] and want[-1] < window[-1])
 
 
 def test_enumeration_counts():

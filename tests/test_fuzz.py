@@ -59,6 +59,14 @@ def perturb_int(rng, doc):
     parent_of(doc, path)[path[-1]] += rng.choice((-3, -2, -1, 1, 2, 3, 10**6))
 
 
+def inflate_int(rng, doc):
+    # around the coefficient bound and far past it, still legal JSON integers
+    ints = [p for p, v in nodes(doc) if type(v) is int]
+    path = rng.choice(ints)
+    size = rng.choice((10**100, 10**100 + 1, int("9" * 3000)))
+    parent_of(doc, path)[path[-1]] = rng.choice((-1, 1)) * size
+
+
 def rename_curve(rng, doc):
     curve = rng.choice(doc["curves"])
     names = [c["name"] for c in doc["curves"]] + ["L", "E1", "new"]
@@ -73,7 +81,8 @@ def null_root(rng, doc):
     doc["cover"]["roots"][rng.randrange(3)] = None
 
 
-MUTATIONS = (drop_key, retype, perturb_int, rename_curve, duplicate_curve, null_root)
+MUTATIONS = (drop_key, retype, perturb_int, inflate_int, rename_curve, duplicate_curve,
+             null_root)
 
 
 def run(capsys, *argv):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from bidouble.lattice import (
@@ -126,6 +128,12 @@ def test_arithmetic_genus_small_cases():
     assert arithmetic_genus(lat.exceptional("E1")) == 0
     assert arithmetic_genus(3 * lat.line()) == 1
     assert arithmetic_genus(lat.divisor((1, -1, -1, 0))) == 0
+    # plane curves of degree d through the points with multiplicities m_i:
+    # p_a = (d-1)(d-2)/2 - sum m_i(m_i-1)/2, genera well outside {-1, 0, 1}
+    for d in range(0, 11):
+        for ms in itertools.product(range(0, 5), repeat=3):
+            want = (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for m in ms)
+            assert arithmetic_genus(lat.divisor((d, *(-m for m in ms)))) == want
 
 
 def test_riemann_roch_chi():

@@ -37,7 +37,7 @@ def test_cli_import_loads_no_heavy_stdlib_module():
     # -S keeps site and .pth files from loading them first
     script = (
         "import sys, bidouble.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))\n"
     )
     src = str(Path(bidouble.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,

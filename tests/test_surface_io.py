@@ -7,6 +7,7 @@ import pytest
 from bidouble.covers import run_verification
 from bidouble.fixtures import expectations, fixture, verify_fixture
 from bidouble.surface_io import (
+    MAX_COEFFICIENT,
     SurfaceFile,
     SurfaceFileError,
     load_surface,
@@ -154,3 +155,17 @@ def test_cover_block_is_optional():
     loaded = surface_from_dict(base)
     assert loaded.cover is None
     assert loaded.config.names()
+
+
+def test_coefficient_bound_is_inclusive_for_classes_and_roots():
+    doc = surface_to_dict(dp1_surface())
+    b2 = next(c for c in doc["curves"] if c["name"] == "B2")
+    b2["class"][0] = -MAX_COEFFICIENT
+    surface_from_dict(doc)
+    b2["class"][0] = -MAX_COEFFICIENT - 1
+    with pytest.raises(SurfaceFileError, match="B2' has a coefficient above"):
+        surface_from_dict(doc)
+    b2["class"][0] = 5
+    doc["cover"]["roots"][1][2] = MAX_COEFFICIENT + 1
+    with pytest.raises(SurfaceFileError, match="root 2 has a coefficient above"):
+        surface_from_dict(doc)
