@@ -129,12 +129,26 @@ def _k_failure(k2: int, k: Triple) -> str | None:
 
 
 def candidate_k_triples(k2: int) -> list[Triple]:
-    """Non-increasing triples (K.R_1, K.R_2, K.R_3) surviving stage one."""
+    """Non-increasing triples (K.R_1, K.R_2, K.R_3) surviving stage one.
+
+    The tests of ``_k_failure`` in closed form, walked in ``_k_domain``
+    order. Every k_i = K^2 (mod 2), so each character dimension's
+    numerator is K^2 + sum k (mod 4): integrality puts k_3 on a grid of
+    step 4. The least dimension is (K^2 + k_3 - k_1 - k_2) / 4, so
+    k_3 >= k_1 + k_2 - K^2. And k_2 < K^2, since at most one part has
+    degree K^2.
+    """
     if k2 < 1:
         raise ClassifierError("positive K^2 required")
     if k2 > MAX_K2:
         raise ClassifierError(f"K^2 = {k2} is above the supported maximum {MAX_K2}")
-    return [k for k in _k_domain(k2) if _k_failure(k2, k) is None]
+    lo = k2 % 2
+    triples = []
+    for k1 in range(k2, lo - 1, -2):
+        for k2_ in range(min(k1, k2 - 2), lo - 1, -2):
+            top = k2_ - (k2 + k1 + 2 * k2_) % 4
+            triples.extend((k1, k2_, k3) for k3 in range(top, max(lo, k1 + k2_ - k2) - 1, -4))
+    return triples
 
 
 def candidate_k_triples_trace(k2: int) -> tuple[list[Triple], list[KRejection]]:
@@ -236,15 +250,25 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
     reported form ascending.
     """
     caps, lo, hi = _m_bounds(k2, k)
+    floor3 = k[2] % 4  # the least m_3 on its grid
+    if lo > hi or floor3 > caps[2]:
+        return []
     survivors = []
     # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
     # the reporting convention (reported m_1 <= reported m_2 when the last
     # two k agree, reported m_2 >= reported m_3 when the first two do).
     # Equal k share a residue mod 4, so the tightened starts stay on the grid.
     for m1 in range(k[0] % 4, caps[0] + 1, 4):
-        for m2 in range(m1 if k[1] == k[0] else k[1] % 4, caps[1] + 1, 4):
+        # Only the m_2 whose m_3 range below is not empty, from least <= most:
+        # lo - m1 - m2 <= caps[2], and <= m2 when k_3 = k_2, bound m_2 below;
+        # floor3 <= hi - m1 - m2, and m1 <= hi - m1 - m2 when k_3 = k_1, above.
+        # Every other pair of ends holds for all m_2 once the test above passed.
+        start = m1 if k[1] == k[0] else k[1] % 4
+        least_m2 = max(lo - m1 - caps[2], (lo - m1 + 1) // 2 if k[2] == k[1] else start)
+        most_m2 = min(caps[1], hi - m1 - floor3, hi - 2 * m1 if k[2] == k[0] else caps[1])
+        for m2 in range(max(start, least_m2 + (start - least_m2) % 4), most_m2 + 1, 4):
             # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
-            least = max(k[2] % 4, lo - m1 - m2, m1 if k[2] == k[0] else 0)
+            least = max(floor3, lo - m1 - m2, m1 if k[2] == k[0] else 0)
             most = min(caps[2], hi - m1 - m2, m2 if k[2] == k[1] else caps[2])
             for m3 in range(least, most + 1, 4):
                 m = (m1, m2, m3)

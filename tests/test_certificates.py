@@ -7,7 +7,7 @@ from collections import OrderedDict
 
 import pytest
 
-from bidouble.certificates import _jsonable, canonical_json, check
+from bidouble.certificates import Certificate, canonical_json, check, recorded
 from bidouble.cli import classification_certificate
 from bidouble.cohomology import deformation_certificate
 from bidouble.fixtures import verify_fixture
@@ -55,8 +55,25 @@ class Table(dict):
 _TEXT = ["", "a", "é", "ß∑", "\U0001d11e", '"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", " "]
 
 
+def _normalised(value):
+    """The value the layouts are defined on: lists for tuples, str(key) for keys."""
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [_normalised(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): _normalised(v) for k, v in value.items()}
+    raise TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
+
+
 def _stdlib(value) -> str:
-    return json.dumps(_jsonable(value), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_normalised(value), sort_keys=True, indent=2) + "\n"
+
+
+def _cell(value) -> str:
+    """The markdown cell of a value, read off a one-row certificate."""
+    table = Certificate("t", (recorded("x/y", "d", "r", value),)).to_markdown()
+    return table.split("\n")[4][len("| x/y | d | r | "):-len(" |  | recorded |")]
 
 
 def _random_text(rng: random.Random):
@@ -110,6 +127,14 @@ def test_canonical_json_matches_stdlib_on_random_values():
         assert canonical_json(value) == _stdlib(value), value
 
 
+def test_markdown_cells_match_stdlib_on_random_values():
+    # the compact layout: insertion order, the encoder's default separators
+    rng = random.Random(20140801)
+    for _ in range(2500):
+        value = _random_value(rng)
+        assert _cell(value) == json.dumps(_normalised(value)), value
+
+
 def test_canonical_json_corner_cases():
     cases = [
         None, True, False, 0, -7, 2**100, "", "é\"\\\n", [], (), {}, [[]], [{}], {"a": []},
@@ -119,6 +144,7 @@ def test_canonical_json_corner_cases():
     ]
     for value in cases:
         assert canonical_json(value) == _stdlib(value), value
+        assert _cell(value) == json.dumps(_normalised(value)), value
 
 
 def _with_bad_leaf(rng: random.Random, bad):
@@ -141,10 +167,13 @@ def test_canonical_json_refuses_non_certificate_values(bad):
     for _ in range(200):
         value = _with_bad_leaf(rng, bad)
         with pytest.raises(TypeError) as caught:
-            _jsonable(value)
+            _normalised(value)
         assert str(caught.value) == message
         with pytest.raises(TypeError) as caught:
             canonical_json(value)
+        assert str(caught.value) == message
+        with pytest.raises(TypeError) as caught:
+            _cell(value)
         assert str(caught.value) == message
 
 
@@ -152,6 +181,26 @@ def test_canonical_json_refuses_a_value_hidden_by_a_key_collision():
     # {1: ..., "1": ...} keeps only the last value once keys are strings
     with pytest.raises(TypeError):
         canonical_json({1: 1.5, "1": 2})
+    with pytest.raises(TypeError):
+        _cell({1: 1.5, "1": 2})
+
+
+def test_a_str_subclass_key_is_written_as_its_str():
+    # a key equal to a str key but with its own __str__ must not borrow
+    # the str key's cached shape
+    value = [{"k": 1, "j": 2}, {Label("k"): 1, "j": 2}, {"k": 1, "j": 2}]
+    assert canonical_json(value) == _stdlib(value)
+    assert _cell(value) == json.dumps(_normalised(value))
+
+
+def test_check_tells_bools_from_ints():
+    # True == 1 in Python, but a certificate shows `true` and `1`
+    assert check("x/y", "bool against int", "r", True, 1).status == "fail"
+    assert check("x/y", "bool against int", "r", False, 0).status == "fail"
+    assert check("x/y", "nested", "r", {"a": [True, 0]}, {"a": (1, False)}).status == "fail"
+    assert check("x/y", "same data", "r", {"a": [True, 0]}, {"a": (True, 0)}).status == "pass"
+    assert check("x/y", "key order", "r", {"a": 1, "b": 2}, {"b": 2, "a": 1}).status == "pass"
+    assert check("x/y", "int subclass", "r", Count(3), Colour.RED).status == "pass"
 
 
 @pytest.mark.parametrize("make", [
@@ -172,8 +221,8 @@ def test_certificate_json_matches_stdlib_encoding(make):
                 "id": r.row_id,
                 "description": r.description,
                 "ref": r.ref,
-                "computed": _jsonable(r.computed),
-                "expected": _jsonable(r.expected),
+                "computed": _normalised(r.computed),
+                "expected": _normalised(r.expected),
                 "status": r.status,
             }
             for r in cert.rows

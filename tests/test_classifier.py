@@ -6,6 +6,8 @@ from bidouble.classifier import (
     MAX_K2,
     ClassifierError,
     NumericalCase,
+    _k_domain,
+    _k_failure,
     branch_genus,
     branch_matrix_determinant,
     candidate_k_triples,
@@ -61,6 +63,14 @@ def test_candidate_k_triples():
     rest = {k for k in got if k[0] != 7}
     assert first == {(7, 1, 1), (7, 3, 3), (7, 5, 5)}
     assert rest == {(3, 1, 1), (3, 3, 3), (5, 3, 1), (5, 5, 3)}
+
+
+def test_stage_one_closed_form_against_domain_filters():
+    # the closed-form walk keeps exactly the domain triples that pass every
+    # test of _k_failure, in domain order
+    for k2 in range(1, MAX_K2 + 1):
+        expected = [k for k in _k_domain(k2) if _k_failure(k2, k) is None]
+        assert candidate_k_triples(k2) == expected, k2
 
 
 def test_candidate_k_rejection_reasons():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -56,6 +57,14 @@ def test_classify_verbose_lists_only_even_nodal_counts(capsys):
     lines = err.splitlines()
     assert len(lines) == 102
     assert not any("nodal count parity" in line for line in lines)
+
+
+def test_classify_verbose_detail_text_is_pinned(capsys):
+    # every rejection line of K^2 = 7, with its filter and detail, byte for byte
+    code, _, err = run(capsys, "classify", "--k2", "7", "--verbose")
+    assert code == 0
+    digest = hashlib.sha256(err.encode("utf-8")).hexdigest()
+    assert digest == "c2482d1c2d5d67e7428a67e5d6688db9e47a3b0551c92f0f33ff9704bbe5ea2a"
 
 
 def test_classify_json_byte_stable(capsys):
