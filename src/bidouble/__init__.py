@@ -34,7 +34,6 @@ _EXPORTS = {
     "lattice": (
         "DivisorClass", "LatticeError", "SurfaceLattice", "arithmetic_genus", "format_class",
         "halve", "index_bound_holds", "intersect", "is_perfect_square", "riemann_roch_chi",
-        "self_int",
     ),
     "surface_io": (
         "SurfaceFile", "SurfaceFileError", "load_surface", "save_surface", "surface_from_dict",

@@ -25,7 +25,8 @@ Four subcommands, all built on the pure library layer:
 Exit codes: 0 all checks pass, 1 at least one failing row, 2 input
 error (bad flags, unreadable or invalid file, unwritable export path,
 unknown fixture, degree outside 1..MAX_K2, a lattice with no class
-enumeration), 3 internal error (any other exception, ``ValueError``
+enumeration, a self-intersection outside MIN_SELFINT..MAX_SELFINT of
+``curves``), 3 internal error (any other exception, ``ValueError``
 included, reported as one ``internal error: <Type>: <message>`` line on
 stderr, never a traceback), 141 stdout closed by its reader before the
 output was written (128 + SIGPIPE).
@@ -36,14 +37,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Sequence
 
 from .certificates import Certificate, canonical_json, check, recorded
 from .classifier import (
     K7_REFERENCE,
     ClassificationOutcome,
     ClassifierError,
-    NumericalCase,
     classify,
     classify_with_trace,
 )
@@ -61,10 +60,7 @@ from .surface_io import (
 
 def classification_certificate(k2: int) -> Certificate:
     """Certificate comparing classify(k2) against the built-in table."""
-    return _outcome_certificate(k2, classify(k2))
-
-
-def _outcome_certificate(k2: int, cases: Sequence[NumericalCase]) -> Certificate:
+    cases = classify(k2)
     rows = []
     if k2 == 7:
         rows.append(
@@ -120,12 +116,8 @@ def _emit(cert: Certificate, emit: str) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     if args.verbose:
-        outcome = classify_with_trace(args.k2)
-        _print_traces(outcome)
-        cases = outcome.cases
-    else:
-        cases = classify(args.k2)
-    return _emit(_outcome_certificate(args.k2, cases), args.emit)
+        _print_traces(classify_with_trace(args.k2))
+    return _emit(classification_certificate(args.k2), args.emit)
 
 
 def _load_target(args: argparse.Namespace) -> SurfaceFile:

@@ -297,22 +297,18 @@ def compute_invariants(cover: CoverData) -> CoverInvariants:
 
 
 class FixtureExpectations(Record):
-    """Frozen expected values for one fixture, compared row by row.
+    """Expected values for one fixture, compared row by row.
 
-    ``case`` is the fixture's row of the classification table; the k, m,
-    l and K^2 rows are checked against it.
+    ``case`` is the fixture's row of the classification table. The k, m,
+    l and K^2 rows are checked against it, and the other invariant rows
+    but D, dims and the K_V^2 identity against values computed from it.
+    The fields below freeze only what the row cannot give: the class of
+    D, the character dimensions (deriving them would repeat
+    ``compute_invariants``) and the name-keyed tables.
     """
 
     case: classifier.NumericalCase
     d_class: tuple[int, ...]
-    d_sq: int
-    d_kw: int
-    m_sq: int
-    b_sq: tuple[int, int, int]
-    k_v_sq: int
-    blowdown: int
-    sum_llk: int
-    chi_ov: int
     dims: tuple[int, int, int, int]
     table: dict[tuple[str, str], int] = {}
     fibers: tuple[FiberDecomposition, ...] = ()
@@ -331,26 +327,36 @@ class FixtureExpectations(Record):
 def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[CheckRow]:
     ref = "intersection number"
     case = expect.case
+    # D.K_W = (D^2 - sum D.B_i) / 2, since D - 2K_W = B_1 + B_2 + B_3 and D^2 = K^2
+    dk = (case.k2 - sum(case.k)) // 2
     rows = [
         check("invariant/D", expect.d_description, ref,
               inv.d.coeffs, expect.d_class),
-        check("invariant/D2", "D^2", ref, inv.d_sq, expect.d_sq),
-        check("invariant/DKW", "D.K_W", ref, inv.d_kw, expect.d_kw),
-        check("invariant/M2", "M^2 with M = K_W + D", ref, inv.m_sq, expect.m_sq),
+        # D plays the part of K on W: D.B_i = k_i = K.R_i and D^2 = K^2
+        check("invariant/D2", "D^2", ref, inv.d_sq, case.k2),
+        check("invariant/DKW", "D.K_W", ref, inv.d_kw, dk),
+        # M^2 = K_W^2 + 2D.K_W + D^2, and K_W^2 = K_Sigma^2 since resolving the
+        # nodes of the base changes no K^2: the classifier's adjoint square
+        check("invariant/M2", "M^2 with M = K_W + D", ref, inv.m_sq,
+              case.k_sigma_sq + 2 * dk + case.k2),
         check("invariant/DB", "(D.B_1, D.B_2, D.B_3)", ref, inv.db, case.k),
         check("invariant/BB", "(B_1B_2, B_1B_3, B_2B_3)", ref, inv.bb, case.m_reported),
-        check("invariant/B2", "(B_1^2, B_2^2, B_3^2)", ref, inv.b_sq, expect.b_sq),
+        check("invariant/B2", "(B_1^2, B_2^2, B_3^2)", ref, inv.b_sq, case.r),
         check("invariant/l", "nodal counts (l_1, l_2, l_3)", "nodal bookkeeping",
               inv.l, case.l),
-        check("invariant/KV2", "K^2 of the smooth cover", ref, inv.k_v_sq, expect.k_v_sq),
+        # each of the l_1 + l_2 + l_3 nodal curves lifts to two (-1)-curves of V,
+        # and contracting those gives the minimal model of K^2 = D^2
+        check("invariant/KV2", "K^2 of the smooth cover", ref, inv.k_v_sq,
+              case.k2 - 2 * sum(case.l)),
         check("invariant/KV2-identity", "K_V^2 = D^2 - 2(l_1+l_2+l_3)", ref,
               inv.k_v_sq, inv.d_sq - 2 * sum(inv.l)),
         check("invariant/blowdown", "number of contracted (-1)-curves, 2(l_1+l_2+l_3)",
-              "nodal bookkeeping", inv.blowdown, expect.blowdown),
+              "nodal bookkeeping", inv.blowdown, 2 * sum(case.l)),
         check("invariant/KS2", "K^2 of the minimal model", ref, inv.k_s_sq, case.k2),
-        check("invariant/sumLLK", "sum of L_i(L_i + K_W)", ref, inv.sum_llk, expect.sum_llk),
+        # p_g = q = 0 on the minimal model, so chi(O_V) = 1 = 4 + (1/2) sum L_i(L_i + K_W)
+        check("invariant/sumLLK", "sum of L_i(L_i + K_W)", ref, inv.sum_llk, 2 * (1 - 4)),
         check("invariant/chiOV", "chi(O) of the cover, 4 + (1/2) sum L_i(L_i+K_W)",
-              "double cover Euler characteristic", inv.chi_ov, expect.chi_ov),
+              "double cover Euler characteristic", inv.chi_ov, 1),
         check("invariant/dims", "character subspace dimensions (inv, 1, 2, 3)",
               "character dimensions", inv.dims, expect.dims),
     ]

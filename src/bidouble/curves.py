@@ -33,6 +33,12 @@ class ConfigurationError(ValueError):
     """Bad curve configuration data (role mismatch, duplicate name, ...)."""
 
 
+# The self-intersections ``enumerate_classes`` accepts. The class count grows
+# steeply on both sides: on the degree-one lattice (n = 8) it is 319,680 at
+# either end of this range and 1,123,440 one step past it, all built in memory.
+MIN_SELFINT, MAX_SELFINT = -6, 3
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
@@ -112,13 +118,19 @@ def enumerate_classes(lattice: SurfaceLattice, self_sq: int) -> list[DivisorClas
 
     Sorting is by the full coefficient tuple (degree first), which makes
     the output order reproducible across runs and platforms. The list is
-    finite only on lattices with K^2 > 0; larger lattices raise.
+    finite only on lattices with K^2 > 0; larger lattices raise, and so
+    does a self-intersection outside ``MIN_SELFINT..MAX_SELFINT``.
     """
     n = lattice.n
     if n >= 9:
         raise LatticeError(
             "class enumeration needs K^2 = 9 - n > 0; "
             f"lattice {lattice.label!r} has n = {n}"
+        )
+    if not MIN_SELFINT <= self_sq <= MAX_SELFINT:
+        raise LatticeError(
+            f"self-intersection {self_sq} is outside the supported range "
+            f"{MIN_SELFINT}..{MAX_SELFINT}"
         )
     found: list[DivisorClass] = []
     for a in _degree_range(n, self_sq):

@@ -14,17 +14,20 @@ nodal curves C_j, C_j'), with branch lists built from a fiber F_b, curves
 Gamma and E, and two branch components B_2, B_3 of higher degree. The
 roots are stored explicitly.
 
-The expectation tables below hold every frozen value a fixture is checked
-against: the verification certificate and the deformation report. A
-fixture's entry also holds every other input of its deformation report:
-the frozen values are keyed by the ``report/...`` row id each one checks,
-and dp1 alone carries imported second-cohomology bounds, which give it
-the h1 rows, and provenance notes. The fixture's case data (k, reported
-m, l, K_Sigma^2 and K^2) are not restated here: each fixture takes its
-row of ``classifier.K7_REFERENCE``, the one with status
-``realized_<name>``. Every other number was recomputed by hand from the
-coefficient vectors before being frozen; the test suite re-derives the
-same values through independent code paths.
+Each fixture names its row of ``classifier.K7_REFERENCE``, the one with
+status ``realized_<name>``, and the verification takes from that row
+every number it can give: k, reported m, l, K_Sigma^2 and K^2, and what
+follows from them on a surface with p_g = q = 0 (D^2, D.K_W, M^2, the
+B_i^2, K_V^2, the blowdown count, sum L_i(L_i + K_W) and chi(O), computed
+in ``covers``). The expectation tables below freeze only what
+the row cannot give: the class of D, the character dimensions and the
+name-keyed intersection, fiber, dot and swap tables. A fixture's entry
+also holds every input of its deformation report: the frozen values are
+keyed by the ``report/...`` row id each one checks, and dp1 alone
+carries imported second-cohomology bounds, which give it the h1 rows,
+and provenance notes. Every frozen number was recomputed by hand from
+the coefficient vectors before being frozen; the test suite re-derives
+the same values through independent code paths.
 """
 
 from __future__ import annotations
@@ -82,14 +85,6 @@ _INOUE_DELTA = (
 _INOUE_EXPECT = FixtureExpectations(
     case=_reference_case("inoue"),
     d_class=(5, -1, -2, -2, -1, -2, -2),
-    d_sq=7,
-    d_kw=-5,
-    m_sq=0,
-    b_sq=(-1, -1, -1),
-    k_v_sq=-1,
-    blowdown=8,
-    sum_llk=-6,
-    chi_ov=1,
     dims=(7, 1, 0, 0),
     table={
         ("F1", "F1"): 0,
@@ -173,14 +168,6 @@ _DP1_ROOTS = (
 _DP1_EXPECT = FixtureExpectations(
     case=_reference_case("dp1"),
     d_class=(7, -3, -2, -2, -2, -2, -2, -2, -3),
-    d_sq=7,
-    d_kw=-3,
-    m_sq=2,
-    b_sq=(-1, -1, -1),
-    k_v_sq=-5,
-    blowdown=12,
-    sum_llk=-6,
-    chi_ov=1,
     dims=(6, 1, 1, 0),
     table={
         ("Lambda", "Lambda"): -1,

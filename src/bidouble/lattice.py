@@ -174,10 +174,6 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int:
     return a.dot(b)
 
 
-def self_int(a: DivisorClass) -> int:
-    return a.dot(a)
-
-
 def arithmetic_genus(a: DivisorClass) -> int:
     """Genus from the adjunction formula, p = 1 + (a.a + K.a)/2.
 

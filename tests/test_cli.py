@@ -238,6 +238,11 @@ def test_enumerate(capsys):
     code, out, _ = run(capsys, "enumerate", "--fixture", "inoue", "--selfint", "-1")
     assert out.splitlines()[0] == "count: 27"
 
+    # both ends of the accepted self-intersection range
+    for selfint, count in (("-6", 2592), ("3", 459)):
+        code, out, err = run(capsys, "enumerate", "--fixture", "inoue", "--selfint", selfint)
+        assert (code, err, out.splitlines()[0]) == (0, "", f"count: {count}")
+
     code, out, _ = run(capsys, "enumerate", "--fixture", "inoue", "--selfint", "-1", "--filtered")
     lines = out.splitlines()
     assert lines[0] == "count: 9"
@@ -245,6 +250,14 @@ def test_enumerate(capsys):
         "E1", "E2", "E3", "E1'", "E2'", "E3'",
         "L - E1 - E1'", "L - E2 - E2'", "L - E3 - E3'",
     }
+
+
+@pytest.mark.parametrize("selfint", [4, -7])
+def test_enumerate_selfint_outside_range_is_input_error(capsys, selfint):
+    # refused before any search starts, so dp1 costs nothing here
+    code, out, err = run(capsys, "enumerate", "--fixture", "dp1", "--selfint", str(selfint))
+    assert (code, out) == (2, "")
+    assert err == f"error: self-intersection {selfint} is outside the supported range -6..3\n"
 
 
 def test_enumerate_filtered_keeps_fixture_nodal_classes(capsys):

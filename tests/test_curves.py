@@ -17,7 +17,7 @@ from bidouble.curves import (
 )
 from bidouble.covers import FixtureExpectations, run_verification
 from bidouble.fixtures import expectations, fixture
-from bidouble.lattice import LatticeError, SurfaceLattice, arithmetic_genus, self_int
+from bidouble.lattice import LatticeError, SurfaceLattice, arithmetic_genus
 
 
 def make(n: int) -> SurfaceLattice:
@@ -77,7 +77,7 @@ def test_enumeration_output_is_sound(n, s):
     assert len(set(c.coeffs for c in classes)) == len(classes)
     assert [c.coeffs for c in classes] == sorted(c.coeffs for c in classes)
     for c in classes:
-        assert self_int(c) == s
+        assert c.dot(c) == s
         assert arithmetic_genus(c) == 0
 
 
@@ -195,11 +195,7 @@ def test_intersection_table_checks():
     table = {("Lambda", "Lambda"): -1, ("Lambda", "Fb"): 3, ("B2", "B3"): 1}
     # dp1's expectations with only this table: no fiber, dot or swap rows
     dp1 = expectations("dp1")
-    expect = FixtureExpectations(
-        case=dp1.case, d_class=dp1.d_class, d_sq=dp1.d_sq, d_kw=dp1.d_kw, m_sq=dp1.m_sq,
-        b_sq=dp1.b_sq, k_v_sq=dp1.k_v_sq, blowdown=dp1.blowdown, sum_llk=dp1.sum_llk,
-        chi_ov=dp1.chi_ov, dims=dp1.dims, table=table,
-    )
+    expect = FixtureExpectations(case=dp1.case, d_class=dp1.d_class, dims=dp1.dims, table=table)
     cert = run_verification(cover, expect, "table: dp1")
     rows = {r.row_id: r for r in cert.rows if r.row_id.startswith("table/")}
     # sorted key order, not the order the table was written in

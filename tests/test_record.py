@@ -35,12 +35,25 @@ def test_construction_by_position_keyword_and_default():
 
 
 def test_post_init_validates_and_normalises():
-    with pytest.raises(ClassifierError) as exc:
-        NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 1), 1, 144, "open")
-    assert str(exc.value) == (
-        "2l+m = k+4 violated at index 3: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 7), "
-        "l=(4, 2, 1), k_sigma_sq=1, det_a=144, status='open', r=(-1, -1, -1))"
-    )
+    # dp1's row, broken so that each check in turn is the first to fail, with its text
+    for args, message in (
+        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "bogus"), "unknown status 'bogus'"),
+        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 1), 1, 144, "open"),
+         "2l+m = k+4 violated at index 3: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 7), "
+         "l=(4, 2, 1), k_sigma_sq=1, det_a=144, status='open', r=(-1, -1, -1))"),
+        ((7, (5, 5, 3), (1, 5, 9), (4, 2, -1), 2, 196, "open"),
+         "negative nodal count at index 3: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 9), "
+         "l=(4, 2, -1), k_sigma_sq=2, det_a=196, status='open', r=(-1, -1, -1))"),
+        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 2, 144, "open"),
+         "base square inconsistent with nodal counts: NumericalCase(k2=7, k=(5, 5, 3), "
+         "m=(1, 5, 7), l=(4, 2, 0), k_sigma_sq=2, det_a=144, status='open', r=(-1, -1, -1))"),
+        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 145, "open"),
+         "stored determinant does not match m: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 7), "
+         "l=(4, 2, 0), k_sigma_sq=1, det_a=145, status='open', r=(-1, -1, -1))"),
+    ):
+        with pytest.raises(ClassifierError) as exc:
+            NumericalCase(*args)
+        assert str(exc.value) == message
     assert SurfaceLattice("t", ["E1", "E2"]).exceptional_names == ("E1", "E2")
 
 
@@ -113,9 +126,7 @@ def test_a_record_is_not_certificate_data():
 
 def test_dict_defaults_are_not_shared():
     dp1 = expectations("dp1")
-    fields = dict(case=dp1.case, d_class=dp1.d_class, d_sq=dp1.d_sq, d_kw=dp1.d_kw,
-                  m_sq=dp1.m_sq, b_sq=dp1.b_sq, k_v_sq=dp1.k_v_sq, blowdown=dp1.blowdown,
-                  sum_llk=dp1.sum_llk, chi_ov=dp1.chi_ov, dims=dp1.dims)
+    fields = dict(case=dp1.case, d_class=dp1.d_class, dims=dp1.dims)
     first, second = FixtureExpectations(**fields), FixtureExpectations(**fields)
     first.table[("Fb", "Fb")] = 0
     first.d_dot["Fb"] = 4
