@@ -1,8 +1,14 @@
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
+import random
+import runpy
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +19,10 @@ import bidouble
 from bidouble import classifier, cli
 from bidouble.classifier import MAX_K2
 from bidouble.cli import classification_certificate, main
-from bidouble.fixtures import fixture
+from bidouble.fixtures import FIXTURE_NAMES, fixture
 from bidouble.surface_io import SurfaceFile, surface_to_dict
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -216,7 +224,7 @@ def test_verify_export_unwritable_is_input_error(tmp_path, capsys, target):
     assert len(err.splitlines()) == 1
 
 
-def test_argparse_errors_exit_two():
+def test_flag_errors_exit_two(capsys):
     for argv in (
         ["classify"],
         ["verify"],
@@ -224,10 +232,204 @@ def test_argparse_errors_exit_two():
         ["enumerate", "--fixture", "dp1"],
         ["report", "unknown"],
         ["nosuchcommand"],
+        ["verify", "--fixture", "dp1", "--file", "x"],
+        ["classify", "--k2", "abc"],
+        ["classify", "--k2", "7", "--emit", "xml"],
+        ["classify", "--k2", "7", "--nosuch"],
+        ["verify", "--f", "dp1"],
+        ["enumerate", "--fixture", "dp1", "--selfint"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
-        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), argv
+        assert "Traceback" not in err
+        assert "error:" in err.splitlines()[-1], argv
+    # a negative degree is a well-formed flag: the library refuses it
+    assert run(capsys, "classify", "--k2", "-1") == (2, "", "error: positive K^2 required\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line used before ``cli.COMMANDS``: the reference."""
+    parser = argparse.ArgumentParser(
+        prog="bidouble",
+        description="Exact-arithmetic verification of bidouble-cover surface data.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_classify = sub.add_parser(
+        "classify", help="run the numerical classification for a canonical degree"
+    )
+    p_classify.add_argument("--k2", type=int, required=True,
+                            help="canonical degree of the covering surface")
+    p_classify.add_argument("--verbose", action="store_true",
+                            help="list rejected candidates with the first failing test (stderr)")
+    p_classify.add_argument("--emit", choices=("json", "md"), default="md")
+
+    p_verify = sub.add_parser(
+        "verify", help="verify a fixture or a surface description file"
+    )
+    target = p_verify.add_mutually_exclusive_group(required=True)
+    target.add_argument("--fixture", choices=FIXTURE_NAMES)
+    target.add_argument("--file", help="path to a surface description file")
+    p_verify.add_argument("--export", metavar="PATH",
+                          help="write the verified surface back out as a file")
+    p_verify.add_argument("--emit", choices=("json", "md"), default="md")
+
+    p_enum = sub.add_parser(
+        "enumerate", help="enumerate rational curve classes of a self-intersection"
+    )
+    target = p_enum.add_mutually_exclusive_group(required=True)
+    target.add_argument("--fixture", choices=FIXTURE_NAMES)
+    target.add_argument("--file", help="path to a surface description file")
+    p_enum.add_argument("--selfint", type=int, required=True,
+                        help="self-intersection of the classes to enumerate")
+    p_enum.add_argument("--filtered", action="store_true",
+                        help="drop classes meeting a nodal curve negatively")
+    p_enum.add_argument("--emit", choices=("json", "md"), default="md")
+
+    p_report = sub.add_parser(
+        "report", help="render the deformation bookkeeping certificate for a fixture"
+    )
+    p_report.add_argument("fixture", choices=FIXTURE_NAMES)
+    p_report.add_argument("--emit", choices=("json", "md"), default="md")
+    return parser
+
+
+REFERENCE = build_parser()
+
+
+def outcome(parse, argv):
+    """The attributes ``parse`` returns for ``argv``, or the code it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def assert_parsers_agree(argvs):
+    outcomes = [outcome(REFERENCE.parse_args, argv) for argv in argvs]
+    got = [outcome(cli.parse_args, argv) for argv in argvs]
+    wrong = [row for row in zip(argvs, outcomes, got) if row[1] != row[2]]
+    assert not wrong, wrong[:5]
+    return outcomes
+
+
+def test_parser_agrees_with_argparse_on_documented_commands():
+    # every README example and every argument shape the benchmark runs
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = readme.split("```sh\n")[1:]
+    argvs = [shlex.split(line)[1:] for block in blocks
+             for line in block.split("```")[0].splitlines() if line.startswith("bidouble ")]
+    assert len(argvs) >= 12
+    cli_argv = runpy.run_path(str(ROOT / "bench" / "checks.py"))["cli_argv"]
+    specs = [
+        {"what": "classify", "k2": 7, "emit": "json"},
+        {"what": "verify", "fixture": "dp1", "emit": "md"},
+        {"what": "verify", "fixture": "inoue", "export": "out.json", "emit": "json"},
+        {"what": "verify", "file": "dp1.json", "emit": "md"},
+        {"what": "enumerate", "fixture": "dp1", "selfint": -1, "emit": "md"},
+        {"what": "enumerate", "fixture": "inoue", "selfint": -2, "filtered": True,
+         "emit": "json"},
+        {"what": "report", "fixture": "inoue", "emit": "md"},
+    ]
+    argvs += [cli_argv(spec) for spec in specs]
+    outcomes = assert_parsers_agree(argvs)
+    assert [code for argv, code in zip(argvs, outcomes) if "--help" in argv] == [0, 0]
+    assert all(type(code) is dict for argv, code in zip(argvs, outcomes) if "--help" not in argv)
+
+
+# each option in full, by a unique prefix and by a prefix that is ambiguous
+# on some subcommand (--f and --e on verify, --fil on enumerate)
+FORMS = {
+    "--k2": ("--k2", "--k"),
+    "--verbose": ("--verbose", "--verb"),
+    "--emit": ("--emit", "--em", "--e"),
+    "--fixture": ("--fixture", "--fix", "--f", "--fi"),
+    "--file": ("--file", "--fil"),
+    "--export": ("--export", "--exp"),
+    "--selfint": ("--selfint", "--self"),
+    "--filtered": ("--filtered", "--filt"),
+}
+# valid and invalid values, an option name in value position, and help
+VALUES = ("dp1", "inoue", "-1", "7", "abc", "xml", "json", "md", "nosuch", "--emit", "-h")
+
+
+def random_argv(rng, path):
+    names = list(cli.COMMANDS)
+    tokens = names + list(VALUES) + [form for forms in FORMS.values() for form in forms]
+    command = rng.choice(names) if rng.random() < 0.9 else rng.choice(tokens)
+    options = cli.COMMANDS[command][1] if command in cli.COMMANDS else ()
+    groups = []
+    for name, kind, _, _ in options:
+        if rng.random() < 0.3:
+            continue
+        if not name.startswith("-"):
+            groups.append([rng.choice(kind) if rng.random() < 0.8 else rng.choice(VALUES)])
+            continue
+        form = name if rng.random() < 0.5 else rng.choice(FORMS[name])
+        if kind is bool:
+            groups.append([form + "=1"] if rng.random() < 0.1 else [form])
+            continue
+        if rng.random() < 0.2:
+            value = rng.choice(VALUES + (path,))
+        elif kind is int:
+            value = rng.choice(("7", "-1"))
+        else:
+            value = path if kind is str else rng.choice(kind)
+        groups.append([f"{form}={value}"] if rng.random() < 0.3 else [form, value])
+    while rng.random() < 0.3:
+        groups.append([rng.choice(tokens + [path])])
+    rng.shuffle(groups)
+    argv = [command] + [token for group in groups for token in group]
+    if rng.random() < 0.05:
+        argv.insert(rng.randrange(len(argv) + 1), rng.choice(tokens))
+    return argv
+
+
+def test_parser_agrees_with_argparse_on_seeded_argvs(tmp_path):
+    rng = random.Random(20261018)
+    path = str(tmp_path / "surface.json")
+    outcomes = assert_parsers_agree([random_argv(rng, path) for _ in range(2000)])
+    # each way out is well exercised: accepted, help and refused
+    accepted = sum(type(code) is dict for code in outcomes)
+    assert accepted > 300
+    assert outcomes.count(0) > 10
+    assert outcomes.count(2) > 300
+
+
+def reference_rows(command):
+    """(names, help) of each entry the argparse reference lists in its help."""
+    sub = REFERENCE._subparsers._group_actions[0]
+    if command is None:
+        return [((choice.dest,), choice.help) for choice in sub._choices_actions]
+    return [(tuple(action.option_strings) or ("{" + ",".join(action.choices) + "}",),
+             action.help) for action in sub.choices[command]._actions]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+def test_help_lists_every_command_and_option(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag] if command is None else [command, flag])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, err) == (0, "")
+    lines = out.splitlines()
+    for names, text in reference_rows(command):
+        assert any(all(name in line for name in names) and line.endswith(text or "")
+                   for line in lines), names
+
+
+def test_help_of_the_module_entry_point():
+    # the console script's path: main() reads sys.argv itself
+    env = dict(os.environ, PYTHONPATH=str(Path(bidouble.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "bidouble.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: bidouble [-h] {classify,verify,enumerate,report}")
+    for name, (text, _, _) in cli.COMMANDS.items():
+        assert f"{name}  " in proc.stdout and text in proc.stdout
 
 
 def test_enumerate(capsys):

@@ -33,13 +33,21 @@ def test_import_loads_no_submodule_and_refuses_unknown_names():
 
 
 def test_cli_import_loads_no_heavy_stdlib_module():
-    # each costs every process milliseconds of import (see bidouble/_record.py);
-    # -S keeps site and .pth files from loading them first
+    # each costs every process milliseconds of import (see bidouble/_record.py,
+    # and cli.COMMANDS for argparse, which pulls in gettext and locale); -S keeps
+    # site and .pth files from loading them first, and the classify run catches
+    # an import moved into main
     script = (
-        "import sys, bidouble.cli\n"
-        "print(sorted({'dataclasses', 'inspect', 'pathlib', 'typing'} & set(sys.modules)))\n"
+        "import os, sys, bidouble.cli\n"
+        "with open(os.devnull, 'w') as sink:\n"
+        "    sys.stdout = sink\n"
+        "    code = bidouble.cli.main(['classify', '--k2', '7'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "heavy = {'argparse', 'dataclasses', 'gettext', 'inspect', 'locale', 'pathlib',\n"
+        "         'typing'}\n"
+        "print(code, sorted(heavy & set(sys.modules)))\n"
     )
     src = str(Path(bidouble.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "0 []\n"
