@@ -17,8 +17,8 @@ _EXPORTS = {
     "certificates": ("Certificate", "CheckRow", "canonical_json", "check", "recorded"),
     "classifier": (
         "ClassifierError", "NumericalCase", "branch_genus", "branch_matrix_determinant",
-        "candidate_k_triples", "classify", "classify_with_trace", "eigenspace_dims",
-        "enumerate_m_triples", "sign_elimination_check",
+        "candidate_k_triples", "classification_certificate", "classify",
+        "classify_with_trace", "eigenspace_dims", "enumerate_m_triples",
     ),
     "cohomology": ("chi_branch_restrictions", "chi_rank2_twist", "deformation_certificate"),
     "covers": (

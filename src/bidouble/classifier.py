@@ -26,6 +26,9 @@ directly. The traced variants walk the whole domain instead and report,
 for each rejected candidate, the first test it fails in filter order;
 that walk is also the oracle the bounded search is tested against.
 
+``classification_certificate`` checks the survivors against
+``K7_REFERENCE``, the published K^2 = 7 table, which also sets their status.
+
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
 but only K^2 = 7 is validated against known geometry.
@@ -36,6 +39,7 @@ from __future__ import annotations
 from itertools import product
 
 from ._record import Record
+from .certificates import Certificate, check, recorded
 from .lattice import index_bound_holds, is_perfect_square
 
 STATUSES = (
@@ -350,11 +354,11 @@ class NumericalCase(Record):
         }
 
 
-# The published K^2 = 7 classification, in table order. `classify --k2 7`
-# checks its survivors against these rows, so the command fails loudly if
-# the search ever drifts. Two of the five survivors admit a geometric (not
-# numeric) exclusion argument, recorded in the status as an annotation
-# only; the last case is genuinely open.
+# The published K^2 = 7 classification, in table order. Its certificate,
+# `classification_certificate` below, checks the survivors against these rows,
+# so `classify --k2 7` fails loudly if the search ever drifts. Two of the
+# five survivors admit a geometric (not numeric) exclusion argument,
+# recorded in the status as an annotation only; the last case is open.
 K7_REFERENCE = (
     NumericalCase(7, (7, 5, 5), (7, 9, 5), (2, 0, 2), 3, 784, "realized_inoue"),
     NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "realized_dp1"),
@@ -383,6 +387,45 @@ def classify(k2: int) -> list[NumericalCase]:
     return [case for k in candidate_k_triples(k2) for case in enumerate_m_triples(k2, k)]
 
 
+def classification_certificate(k2: int) -> Certificate:
+    """Certificate comparing classify(k2) against the built-in table."""
+    cases = classify(k2)
+    rows = []
+    if k2 == 7:
+        rows.append(
+            check("table/count", "number of surviving numerical cases",
+                  "classification table", len(cases), len(K7_REFERENCE))
+        )
+        by_key = {(case.k, case.m): case.to_json_dict() for case in cases}
+        for ref in K7_REFERENCE:
+            kk = ".".join(str(v) for v in ref.k)
+            mm = ".".join(str(v) for v in ref.m_reported)
+            rows.append(
+                check(f"table/{kk}-{mm}",
+                      f"case k=({kk}) m=({mm}) matches the reference row",
+                      "classification table", by_key.pop((ref.k, ref.m), None),
+                      ref.to_json_dict())
+            )
+        for i, extra in enumerate(by_key.values(), start=1):
+            rows.append(
+                check(f"table/extra-{i}",
+                      "case not present in the reference table",
+                      "classification table", extra, None)
+            )
+    else:
+        rows.append(
+            check("table/reference",
+                  "the built-in reference table only covers canonical degree 7",
+                  "classification table", k2, 7)
+        )
+        rows.append(
+            recorded("table/unvalidated",
+                     "survivors for this degree are reported without validation",
+                     "classification table", [case.to_json_dict() for case in cases])
+        )
+    return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
+
+
 def classify_with_trace(k2: int) -> ClassificationOutcome:
     """``classify`` with every rejected k and m, each with its first failing test."""
     kept_k, k_rejections = candidate_k_triples_trace(k2)
@@ -400,7 +443,7 @@ def classify_with_trace(k2: int) -> ClassificationOutcome:
 
 
 # ---------------------------------------------------------------------------
-# side checks
+# branch genus
 # ---------------------------------------------------------------------------
 
 
@@ -425,18 +468,3 @@ def branch_genus(case: NumericalCase, i: int) -> int | None:
     if four_pa % 4:
         return None
     return four_pa // 4
-
-
-def sign_elimination_check(l_total: int, m: int) -> bool:
-    """Whether 2^l_total * (1 + m^2) is a perfect square. It never is.
-
-    With m odd, 1 + m^2 is 2 mod 8, so the 2-adic valuation of the product
-    is odd. The function computes the honest test anyway; callers use the
-    constant False answer to rule out a sign choice in the lattice
-    embedding argument.
-    """
-    if l_total < 0 or l_total % 2:
-        raise ClassifierError("l_total must be even and nonnegative")
-    if m % 2 == 0:
-        raise ClassifierError("m must be odd")
-    return is_perfect_square((1 << l_total) * (1 + m * m))

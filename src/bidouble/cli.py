@@ -1,18 +1,18 @@
-"""Command line front end.
-
-Four subcommands, all built on the pure library layer:
+"""Command line front end: parse argv, run one subcommand, print what the
+library returns and map the outcome to an exit code. No certificate row
+is built here; each certificate comes from the module owning its facts.
 
 ``classify``
-    Run the two-stage numerical classification for a given canonical
-    degree and check the output against the built-in reference table
-    (defined for degree 7). ``--verbose`` additionally walks every
-    candidate and lists, on stderr, each rejected one together with the
-    first test it failed; m-triples with odd nodal counts are not searched.
+    Print ``classifier.classification_certificate``, the survivors of the
+    two-stage search for a canonical degree checked against the built-in
+    reference table (degree 7 only). ``--verbose`` also walks every
+    candidate and lists, on stderr, each rejected one with the first test
+    it failed; m-triples with odd nodal counts are not searched.
 
 ``verify``
-    Run the full verification certificate for a bundled fixture or for
-    a surface description file. ``--export`` writes the fixture back
-    out as a file, which re-verifies to an identical certificate.
+    Print ``fixtures.verify_surface`` for a bundled fixture or a surface
+    description file. ``--export`` writes the surface out as a file,
+    which re-verifies to an identical certificate.
 
 ``enumerate``
     List the classes of irreducible rational curves of a given
@@ -20,7 +20,7 @@ Four subcommands, all built on the pure library layer:
     classes meeting a nodal curve negatively.
 
 ``report``
-    Render the deformation bookkeeping certificate for a fixture.
+    Print ``cohomology.deformation_certificate`` for a fixture.
 
 The options of each subcommand live in one table, ``COMMANDS``, which the
 parser and the help text both read; the standard library's argparse is not
@@ -48,63 +48,15 @@ import re
 import sys
 from types import SimpleNamespace
 
-from .certificates import Certificate, canonical_json, check, recorded
+from .certificates import Certificate, canonical_json
 from .classifier import (
-    K7_REFERENCE,
-    ClassificationOutcome,
-    ClassifierError,
-    classify,
-    classify_with_trace,
+    ClassificationOutcome, ClassifierError, classification_certificate, classify_with_trace,
 )
 from .cohomology import deformation_certificate
 from .curves import enumerate_classes, filter_effective_against_nodal
 from .fixtures import FIXTURE_NAMES, FixtureError, fixture, verify_surface
 from .lattice import LatticeError, format_class
-from .surface_io import (
-    SurfaceFile,
-    SurfaceFileError,
-    load_surface,
-    save_surface,
-)
-
-
-def classification_certificate(k2: int) -> Certificate:
-    """Certificate comparing classify(k2) against the built-in table."""
-    cases = classify(k2)
-    rows = []
-    if k2 == 7:
-        rows.append(
-            check("table/count", "number of surviving numerical cases",
-                  "classification table", len(cases), len(K7_REFERENCE))
-        )
-        by_key = {(case.k, case.m): case.to_json_dict() for case in cases}
-        for ref in K7_REFERENCE:
-            kk = ".".join(str(v) for v in ref.k)
-            mm = ".".join(str(v) for v in ref.m_reported)
-            rows.append(
-                check(f"table/{kk}-{mm}",
-                      f"case k=({kk}) m=({mm}) matches the reference row",
-                      "classification table", by_key.pop((ref.k, ref.m), None),
-                      ref.to_json_dict())
-            )
-        for i, extra in enumerate(by_key.values(), start=1):
-            rows.append(
-                check(f"table/extra-{i}",
-                      "case not present in the reference table",
-                      "classification table", extra, None)
-            )
-    else:
-        rows.append(
-            check("table/reference",
-                  "the built-in reference table only covers canonical degree 7",
-                  "classification table", k2, 7)
-        )
-        rows.append(
-            recorded("table/unvalidated",
-                     "survivors for this degree are reported without validation",
-                     "classification table", [case.to_json_dict() for case in cases])
-        )
-    return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
+from .surface_io import SurfaceFile, SurfaceFileError, load_surface, save_surface
 
 
 def _print_traces(outcome: ClassificationOutcome) -> None:

@@ -7,7 +7,8 @@ lists and, optionally, the three root classes. When the roots are
 omitted they are derived by halving the complementary branch sums; an
 absent integral half is left as a gap for the verifier to report.
 
-Anything structurally wrong with a document (unknown curve names, bad
+Anything structurally wrong with a document (unknown curve names, a
+label, basis or curve name holding ``|`` or a control character, bad
 roles, wrong vector lengths, a non-Lorentzian signature) raises
 ``SurfaceFileError``: a file must parse to valid objects before any
 verification starts, and the command line maps these errors to the
@@ -36,8 +37,18 @@ _COVER_KEYS = {"delta", "roots"}
 MAX_COEFFICIENT = 10**100
 
 
+# Names are printed in markdown table cells and one per line, so none may
+# hold the cell separator or a control character (a line break among them).
+_NOT_IN_NAMES = frozenset("|\x7f" + "".join(map(chr, range(32))))
+
+
 class SurfaceFileError(ValueError):
     pass
+
+
+def _check_name(name: str, what: str) -> None:
+    if not _NOT_IN_NAMES.isdisjoint(name):
+        raise SurfaceFileError(f"{what} {name!r} holds '|' or a control character")
 
 
 class SurfaceFile(Record):
@@ -68,6 +79,7 @@ def surface_from_dict(data) -> SurfaceFile:
     label = data.get("label")
     if not isinstance(label, str) or not label:
         raise SurfaceFileError("'label' must be a non-empty string")
+    _check_name(label, "label")
     basis = data.get("basis")
     if (
         not isinstance(basis, list)
@@ -77,6 +89,8 @@ def surface_from_dict(data) -> SurfaceFile:
         raise SurfaceFileError("'basis' must be a non-empty list of names")
     if basis[0] != "L":
         raise SurfaceFileError("the first basis name must be 'L' (the +1 vector)")
+    for b in basis:
+        _check_name(b, "basis name")
     rank = len(basis)
     signature = data.get("signature")
     if signature is not None and signature != [1] + [-1] * (rank - 1):
@@ -97,6 +111,7 @@ def surface_from_dict(data) -> SurfaceFile:
         role = entry.get("role")
         if not isinstance(name, str) or not name:
             raise SurfaceFileError("curve entries need a non-empty 'name'")
+        _check_name(name, "curve name")
         if role not in ROLES:
             raise SurfaceFileError(f"curve {name!r} has unknown role {role!r}")
         coeffs = _int_vector(entry.get("class"), rank, f"class of curve {name!r}")

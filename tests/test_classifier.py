@@ -17,7 +17,6 @@ from bidouble.classifier import (
     eigenspace_dims,
     enumerate_m_triples,
     enumerate_m_triples_trace,
-    sign_elimination_check,
 )
 
 
@@ -259,15 +258,3 @@ def test_branch_genus_non_integral_is_none():
         det_a=dp1.det_a, status=dp1.status, r=(0, -1, -1),
     )
     assert branch_genus(tweaked, 1) is None
-
-
-def test_sign_elimination():
-    assert sign_elimination_check(0, 1) is False
-    assert sign_elimination_check(2, 3) is False
-    assert sign_elimination_check(20, 99) is False
-    with pytest.raises(ClassifierError):
-        sign_elimination_check(1, 3)
-    with pytest.raises(ClassifierError):
-        sign_elimination_check(-2, 3)
-    with pytest.raises(ClassifierError):
-        sign_elimination_check(2, 4)

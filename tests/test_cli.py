@@ -100,6 +100,11 @@ def test_classification_without_verbose_builds_no_rejections(monkeypatch, capsys
     assert "table/unvalidated" in out
 
 
+def test_cli_serves_the_classifier_certificate():
+    # the bench calls cli.classification_certificate; the classifier builds it
+    assert cli.classification_certificate is classifier.classification_certificate
+
+
 def test_classify_verbose_lists_k_rejections(capsys):
     _, _, err = run(capsys, "classify", "--k2", "7", "--verbose")
     assert "rejected k=(7, 7, 5): character dimension integrality" in err
@@ -187,6 +192,39 @@ def test_verify_input_errors_exit_two(tmp_path, capsys):
     no_cover.write_text(json.dumps(doc))
     code, _, _ = run(capsys, "verify", "--file", str(no_cover))
     assert code == 2
+
+
+def _rename_label(doc, bad):
+    doc["label"] = "mine" + bad
+
+
+def _rename_basis(doc, bad):
+    doc["basis"][-1] += bad
+
+
+def _rename_curve(doc, bad):
+    # every use of the name, so that only the name itself is wrong
+    for entry in doc["curves"]:
+        entry["name"] = "C" + bad + "1" if entry["name"] == "C1" else entry["name"]
+    doc["cover"]["delta"] = [["C" + bad + "1" if n == "C1" else n for n in part]
+                             for part in doc["cover"]["delta"]]
+
+
+@pytest.mark.parametrize("command", [["verify"], ["enumerate", "--selfint", "-1"]],
+                         ids=["verify", "enumerate"])
+@pytest.mark.parametrize("bad", ["|", "\n"], ids=["bar", "newline"])
+@pytest.mark.parametrize("rename", [_rename_label, _rename_basis, _rename_curve],
+                         ids=["label", "basis", "curve"])
+def test_name_breaking_the_output_is_input_error(tmp_path, capsys, command, bad, rename):
+    # a name is printed in markdown cells and one per line
+    doc = surface_to_dict(SurfaceFile("mine", *fixture("dp1")))
+    rename(doc, bad)
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command[0], "--file", str(path), *command[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith("holds '|' or a control character\n")
+    assert len(err.splitlines()) == 1
 
 
 def oversized_degree_file() -> bytes:
@@ -562,7 +600,7 @@ def test_unrenderable_certificate_value_is_internal_error(monkeypatch, capsys, e
         def to_json_dict(self):
             return {"K2": 0.5}
 
-    monkeypatch.setattr(cli, "classify", lambda k2: [FloatCase()])
+    monkeypatch.setattr(classifier, "classify", lambda k2: [FloatCase()])
     code, out, err = run(capsys, "classify", "--k2", "6", "--emit", emit)
     assert (code, out) == (3, "")
     assert err == "internal error: TypeError: a certificate value must be JSON data, not float\n"

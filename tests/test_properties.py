@@ -17,7 +17,6 @@ from bidouble.classifier import (
     candidate_k_triples,
     enumerate_m_triples,
     enumerate_m_triples_trace,
-    sign_elimination_check,
 )
 from bidouble.covers import building_data_rows, make_cover
 from bidouble.curves import enumerate_classes, filter_effective_against_nodal
@@ -26,6 +25,7 @@ from bidouble.lattice import (
     SurfaceLattice,
     arithmetic_genus,
     halve,
+    is_perfect_square,
     riemann_roch_chi,
 )
 
@@ -172,10 +172,12 @@ def test_bounded_search_against_domain_brute_force():
 
 
 def test_sign_elimination_sweep_never_square():
+    # with m odd, 1 + m^2 = 2 (mod 8), so 2^l (1 + m^2) has odd 2-adic
+    # valuation for even l: the sign choice it stands for never occurs
     count = 0
     for l_total in range(0, 21, 2):
         for m in range(1, 200, 2):
-            assert sign_elimination_check(l_total, m) is False
+            assert is_perfect_square((1 << l_total) * (1 + m * m)) is False
             count += 1
     assert count >= TRIALS
 
