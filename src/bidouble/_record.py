@@ -13,13 +13,14 @@ and deletion: the behaviour of ``@dataclass(frozen=True)``.
 Why not ``dataclasses``: its cost is paid at import, by every process, in
 a command line whose paper commands compute for a few ms. Measured with
 ``python -S`` on Python 3.11.7 on a 2-vCPU VM: ``import dataclasses``
-added 12-14 ms to what ``argparse`` and ``json`` load anyway, because it
-loads ``inspect``, ``ast``, ``dis`` and ``tokenize``; a frozen
-``@dataclass`` took 1.2-1.5 ms per class against 0.2-0.4 ms here, because
-each generated method is ``exec``'d on its own (and a class without a
-docstring also goes through ``inspect.signature``); ``typing``, for one
-``NamedTuple``, added 4-6 ms more. With this base, ``import bidouble.cli``
-went from 68-82 ms to 41-50 ms; a bare interpreter takes 10.5-12.6 ms.
+added 12-14 ms to what ``json`` and ``argparse`` (which the command line
+imported then) loaded, because it loads ``inspect``, ``ast``, ``dis`` and
+``tokenize``; a frozen ``@dataclass`` took 1.2-1.5 ms per class against
+0.2-0.4 ms here, because each generated method is ``exec``'d on its own
+(and a class without a docstring also goes through ``inspect.signature``);
+``typing``, for one ``NamedTuple``, added 4-6 ms more. With this base,
+``import bidouble.cli`` went from 68-82 ms to 41-50 ms; a bare interpreter
+takes 10.5-12.6 ms.
 
 Here one ``exec`` per class compiles ``__init__``, ``__eq__`` and
 ``__hash__``, much as ``collections.namedtuple`` compiles its ``__new__``.

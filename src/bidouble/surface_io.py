@@ -8,8 +8,8 @@ omitted they are derived by halving the complementary branch sums; an
 absent integral half is left as a gap for the verifier to report.
 
 Anything structurally wrong with a document (unknown curve names, a
-label, basis or curve name holding ``|`` or a control character, bad
-roles, wrong vector lengths, a non-Lorentzian signature) raises
+label, basis or curve name holding ``|``, a control character or a line
+break, bad roles, wrong vector lengths, a non-Lorentzian signature) raises
 ``SurfaceFileError``: a file must parse to valid objects before any
 verification starts, and the command line maps these errors to the
 input-error exit code rather than a failed check.
@@ -38,8 +38,10 @@ MAX_COEFFICIENT = 10**100
 
 
 # Names are printed in markdown table cells and one per line, so none may
-# hold the cell separator or a control character (a line break among them).
-_NOT_IN_NAMES = frozenset("|\x7f" + "".join(map(chr, range(32))))
+# hold the cell separator, a control character or a line break: the C0
+# controls and DEL, and U+0085, U+2028 and U+2029, which complete the set
+# that str.splitlines() splits on.
+_NOT_IN_NAMES = frozenset("|\x7f\x85\u2028\u2029" + "".join(map(chr, range(32))))
 
 
 class SurfaceFileError(ValueError):
@@ -48,7 +50,7 @@ class SurfaceFileError(ValueError):
 
 def _check_name(name: str, what: str) -> None:
     if not _NOT_IN_NAMES.isdisjoint(name):
-        raise SurfaceFileError(f"{what} {name!r} holds '|' or a control character")
+        raise SurfaceFileError(f"{what} {name!r} holds '|', a control character or a line break")
 
 
 class SurfaceFile(Record):

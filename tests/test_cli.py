@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -212,7 +214,8 @@ def _rename_curve(doc, bad):
 
 @pytest.mark.parametrize("command", [["verify"], ["enumerate", "--selfint", "-1"]],
                          ids=["verify", "enumerate"])
-@pytest.mark.parametrize("bad", ["|", "\n"], ids=["bar", "newline"])
+@pytest.mark.parametrize("bad", ["|", "\n", "\x85", "\u2028", "\u2029"],
+                         ids=["bar", "newline", "nel", "line-separator", "paragraph-separator"])
 @pytest.mark.parametrize("rename", [_rename_label, _rename_basis, _rename_curve],
                          ids=["label", "basis", "curve"])
 def test_name_breaking_the_output_is_input_error(tmp_path, capsys, command, bad, rename):
@@ -223,7 +226,8 @@ def test_name_breaking_the_output_is_input_error(tmp_path, capsys, command, bad,
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, command[0], "--file", str(path), *command[1:])
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.endswith("holds '|' or a control character\n")
+    assert err.startswith("error: ") and err.endswith(
+        "holds '|', a control character or a line break\n")
     assert len(err.splitlines()) == 1
 
 
@@ -559,6 +563,58 @@ def test_closed_pipe_exits_141_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
+
+
+def test_exit_hook_leaves_the_calling_process_alone(capsys):
+    # main only registers gc.freeze for interpreter exit: in process the
+    # collector is as the caller left it, and repeated calls add no hook
+    before = gc.get_freeze_count(), gc.isenabled(), atexit._ncallbacks()
+    for _ in range(2):
+        assert run(capsys, "classify", "--k2", "7")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before[:2]
+    assert atexit._ncallbacks() - before[2] <= 1
+
+
+def test_whole_process_freezes_the_collector_at_exit():
+    # exit handlers run last in, first out: one registered before main runs
+    # after main's gc.freeze, and sees the frozen heap
+    script = ("import atexit, gc, sys\n"
+              "atexit.register(lambda: sys.stderr.write(str(gc.get_freeze_count() > 0)))\n"
+              "from bidouble.cli import main\n"
+              "main(['classify', '--k2', '7'])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(bidouble.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"True")
+
+
+WHOLE_PROCESS_COMMANDS = (
+    ("classify", "--k2", "7"),
+    ("verify", "--fixture", "dp1", "--export", "{export}"),
+    ("verify", "--file", "{export}"),
+    ("enumerate", "--fixture", "inoue", "--selfint", "-1", "--filtered"),
+    ("report", "dp1"),
+)
+
+
+@pytest.mark.parametrize("emit", ["md", "json"])
+def test_whole_process_writes_what_main_writes(tmp_path, capsys, emit):
+    # skipping the teardown collection loses no output and hides no warning
+    export = tmp_path / "dp1.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(bidouble.__file__).parents[1]))
+    for command in WHOLE_PROCESS_COMMANDS:
+        argv = [word.format(export=export) for word in command] + ["--emit", emit]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        exported = export.read_bytes() if "--export" in argv else None
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "bidouble.cli", *argv],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), argv
+        assert proc.stdout == out.encode(), argv
+        if exported is not None:
+            assert export.read_bytes() == exported, argv
 
 
 def test_internal_error_exits_three_with_one_line(monkeypatch, capsys):

@@ -2,9 +2,10 @@
 
 Each trial applies one random edit to an exported fixture and runs the
 file through ``verify`` and ``enumerate``. Whatever the edit, the exit
-code must be 0, 1 or 2 (3 is a library bug), stderr must carry no
-traceback and no internal error, and a file that verifies at all must
-export to a file that verifies to the same bytes.
+code must be 0, 1 or 2 (3 is a library bug; a name broken by ``|`` or a
+line boundary must give 2), stderr must carry no traceback and no
+internal error, and a file that verifies at all must export to a file
+that verifies to the same bytes.
 """
 
 from __future__ import annotations
@@ -73,6 +74,23 @@ def rename_curve(rng, doc):
     curve["name"] = rng.choice(names)
 
 
+# "|" and every character that str.splitlines() splits on
+NAME_BREAKERS = "|\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def break_name(rng, doc):
+    # the label, a basis name or a curve name; a file naming the old curve
+    # elsewhere fails on the name's characters all the same
+    bad = rng.choice(NAME_BREAKERS)
+    where = rng.choice(("label", "basis", "curves"))
+    if where == "label":
+        doc["label"] += bad
+    elif where == "basis":
+        doc["basis"][rng.randrange(len(doc["basis"]))] += bad
+    else:
+        rng.choice(doc["curves"])["name"] += bad
+
+
 def duplicate_curve(rng, doc):
     doc["curves"].append(copy.deepcopy(rng.choice(doc["curves"])))
 
@@ -82,7 +100,7 @@ def null_root(rng, doc):
 
 
 MUTATIONS = (drop_key, retype, perturb_int, inflate_int, rename_curve, duplicate_curve,
-             null_root)
+             null_root, break_name)
 
 
 def run(capsys, *argv):
@@ -108,11 +126,11 @@ def test_mutated_files_keep_the_exit_code_contract(tmp_path, capsys, name):
         where = (name, trial, mutation.__name__)
 
         code, out = run(capsys, "verify", "--file", str(path), "--export", str(again))
-        assert code in (0, 1, 2), where
+        assert code in ((2,) if mutation is break_name else (0, 1, 2)), where
         codes.add(code)
         if code != 2:
             assert run(capsys, "verify", "--file", str(again)) == (code, out), where
         code, _ = run(capsys, "enumerate", "--file", str(path), "--selfint", "-1")
-        assert code in (0, 2), where
+        assert code in ((2,) if mutation is break_name else (0, 2)), where
     # the edits reach every outcome, not only the parser's refusals
     assert codes == {0, 1, 2}
