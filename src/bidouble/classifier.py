@@ -281,13 +281,7 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
                     continue
                 l = _l_of(k, m)
                 survivors.append(NumericalCase(
-                    k2=k2,
-                    k=k,
-                    m=m,
-                    l=l,
-                    k_sigma_sq=k2 - sum(l),
-                    det_a=det,
-                    status=_status_of(k2, k, m),
+                    k2, k, m, l, k2 - sum(l), det, _status_of(k2, k, m)
                 ))
     return sorted(survivors, key=lambda c: (-sum(c.m), c.m_reported))
 

@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import pytest
 
+from bidouble import cli, fixtures  # noqa: F401  (cli loads every module, so every record class)
 from bidouble._record import Record
 from bidouble.certificates import CheckRow, canonical_json, check
-from bidouble.classifier import K7_REFERENCE, ClassifierError, NumericalCase
-from bidouble.covers import FixtureExpectations
-from bidouble.fixtures import expectations
+from bidouble.classifier import K7_REFERENCE, ClassifierError, NumericalCase, classify_with_trace
+from bidouble.covers import FixtureExpectations, compute_invariants
+from bidouble.fixtures import expectations, fixture, verify_fixture
 from bidouble.lattice import DivisorClass, SurfaceLattice
+from bidouble.surface_io import SurfaceFile, surface_from_dict, surface_to_dict
 
 
 def lattice() -> SurfaceLattice:
@@ -28,9 +30,10 @@ def test_construction_by_position_keyword_and_default():
     assert case.r == (-1, -1, -1)
     with_r = NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "open", r=(1, 2, 3))
     assert with_r.r == (1, 2, 3)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^DivisorClass\(\) missing argument 'coeffs'$"):
         DivisorClass(lat)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"^DivisorClass\(\) takes 2 arguments \(lattice, "
+                                        r"coeffs\) but 3 were given$"):
         DivisorClass(lat, (3, -1, 0), None)
 
 
@@ -140,3 +143,92 @@ def test_defaults_must_trail():
         class Bad(Record):
             a: int = 0
             b: int
+
+
+def _record_classes(cls=Record):
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("bidouble."):
+            yield sub
+        yield from _record_classes(sub)
+
+
+def _one_of_each() -> list[Record]:
+    config, cover = fixture("dp1")
+    expect = expectations("dp1")
+    outcome = classify_with_trace(7)
+    certificate = verify_fixture("dp1")
+    surface = surface_from_dict(surface_to_dict(SurfaceFile("dp1", config, cover)))
+    return [
+        config.lattice, config.lattice.line(), config.curves[0], config, cover,
+        compute_invariants(cover), expect, expect.fibers[0], K7_REFERENCE[1], outcome,
+        outcome.k_rejections[0], outcome.m_rejections[0], certificate, certificate.rows[0],
+        surface, fixtures._FIXTURES["dp1"],
+    ]
+
+
+RECORDS = _one_of_each()
+
+
+def _values(record: Record) -> tuple:
+    return tuple(getattr(record, name) for name in record._fields)
+
+
+def test_every_record_class_is_covered():
+    assert {type(record) for record in RECORDS} == set(_record_classes())
+    assert len(RECORDS) == 16
+    for record in RECORDS:
+        cls = type(record)
+        for method in ("__init__", "__eq__", "__hash__"):
+            assert getattr(cls, method).__qualname__ == f"{cls.__qualname__}.{method}"
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__qualname__)
+def test_keyword_construction_equals_positional(record):
+    cls, values = type(record), _values(record)
+    keywords = dict(reversed(list(zip(cls._fields, values))))
+    assert cls(**keywords) == cls(*values) == record
+    assert _values(cls(**keywords)) == _values(cls(*values)) == values
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__qualname__)
+def test_hash_is_the_hash_of_the_fields_of_every_class(record):
+    try:
+        expected = hash(_values(record))
+    except TypeError:  # a dict field: FixtureExpectations, _Fixture
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == expected
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__qualname__)
+def test_equality_reads_declared_fields_only(record):
+    cls, values = type(record), _values(record)
+    copy = cls(*values)
+    object.__setattr__(copy, "_index", {})  # not a field, as in CurveConfiguration
+    assert copy == record
+    for name in cls._fields:
+        changed = cls(*values)
+        object.__setattr__(changed, name, object())
+        assert changed != record and record != changed, name
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__qualname__)
+def test_bad_arguments_name_the_class_and_the_field(record):
+    cls, values = type(record), _values(record)
+    name, fields = cls.__qualname__, cls._fields
+    required = sum(not hasattr(cls, field) for field in fields)
+    for args, kwargs, message in (
+        (values[:required - 1], {}, f"{name}() missing argument {fields[required - 1]!r}"),
+        ((), {fields[0]: values[0]}, f"{name}() missing argument {fields[1]!r}"),
+        (values + (None,), {},
+         f"{name}() takes {len(fields)} arguments ({', '.join(fields)}) "
+         f"but {len(fields) + 1} were given"),
+        (values, {fields[0]: values[0]}, f"{name}() got multiple values for argument {fields[0]!r}"),
+        (values[:1], {fields[0]: values[0]},
+         f"{name}() got multiple values for argument {fields[0]!r}"),
+        (values, {"nosuch": 1}, f"{name}() got an unexpected keyword argument 'nosuch'"),
+    ):
+        with pytest.raises(TypeError) as exc:
+            cls(*args, **kwargs)
+        assert str(exc.value) == message
