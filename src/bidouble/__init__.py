@@ -30,7 +30,7 @@ _EXPORTS = {
         "ROLES", "enumerate_classes", "filter_effective_against_nodal",
         "verify_fiber_decomposition",
     ),
-    "fixtures": ("FIXTURE_NAMES", "FixtureError", "expectations", "fixture", "verify_fixture"),
+    "fixtures": ("FIXTURE_NAMES", "FixtureError", "expectations", "fixture"),
     "lattice": (
         "DivisorClass", "LatticeError", "SurfaceLattice", "arithmetic_genus", "format_class",
         "halve", "index_bound_holds", "intersect", "is_perfect_square", "riemann_roch_chi",

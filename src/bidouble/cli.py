@@ -11,8 +11,10 @@ is built here; each certificate comes from the module owning its facts.
 
 ``verify``
     Print ``fixtures.verify_surface`` for a bundled fixture or a surface
-    description file. ``--export`` writes the surface out as a file,
-    which re-verifies to an identical certificate.
+    description file. A fixture is read from its shipped surface file by
+    the loader that reads ``--file``. ``--export`` writes the surface out
+    as a file, which re-verifies to an identical certificate; a fixture's
+    export is its shipped file, byte for byte.
 
 ``enumerate``
     List the classes of irreducible rational curves of a given
@@ -62,7 +64,6 @@ from __future__ import annotations
 import atexit
 import gc
 import os
-import re
 import sys
 from types import SimpleNamespace
 
@@ -244,9 +245,27 @@ def _match(token: str, flags: tuple, command: str | None) -> tuple | None:
         _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
     if found:
         return found[0], explicit
-    if re.match(r"^-\d+$|^-\d*\.\d+$", token) or " " in token:
+    if _negative_number(token) or " " in token:
         return None  # a negative number or a phrase
     return token, None
+
+
+def _negative_number(token: str) -> bool:
+    """Whether argparse reads ``token`` as a negative number.
+
+    The same test as ``re.match(r"^-\\d+$|^-\\d*\\.\\d+$", token)``, without a
+    pattern to compile: ``$`` also matches before one final line break, and
+    ``\\d`` is what ``str.isdecimal`` accepts.
+    """
+    if not token.startswith("-"):
+        return False
+    number = token[1:]
+    if number.endswith("\n"):
+        number = number[:-1]
+    head, dot, tail = number.partition(".")
+    if not dot:
+        return head.isdecimal()
+    return tail.isdecimal() and (not head or head.isdecimal())
 
 
 def _read(command: str | None, tokens: list[str]) -> tuple[dict, list[str]]:

@@ -1,18 +1,26 @@
-"""The two built-in surface configurations and their expected invariants.
+"""The two bundled surface configurations and their expected invariants.
 
 Both fixtures live on blowups of the plane and carry a bidouble-cover
 structure whose minimal model is a general-type surface with K^2 = 7.
+Their lattices, curves, branch lists and roots ship as the surface files
+``dp1.json`` and ``inoue.json`` beside this module, the bytes that
+``bidouble verify --fixture NAME --export PATH`` writes, and ``fixture``
+reads them with ``surface_io.load_surface``: a fixture takes the one
+construction path, with the same input checks, that every surface file
+takes. A fixture label means "this shipped file": ``fixture(NAME)`` is
+whatever that file holds, checked against the frozen expectations below,
+so an edit to the file shows as failing rows or an input error, not as
+another fixture.
 
 ``inoue``: six points, branch lists built from three (-1)-curves Gamma_i,
 members of three pencils F_i of 0-curves, and four nodal curves Z_1, Z_2,
-Z_3, Z. The square roots L_i are not part of the input data; they are
-derived here by halving (the lattice is torsion free, so the half is
-unique when it exists).
+Z_3, Z. The square roots L_i are the halves of the complementary branch
+sums (the lattice is torsion free, so the half is unique when it exists);
+the file stores them, as every export does.
 
 ``dp1``: eight points (a degree-one weak del Pezzo made singular along six
 nodal curves C_j, C_j'), with branch lists built from a fiber F_b, curves
-Gamma and E, and two branch components B_2, B_3 of higher degree. The
-roots are stored explicitly.
+Gamma and E, and two branch components B_2, B_3 of higher degree.
 
 Each fixture names its row of ``classifier.K7_REFERENCE``, the one with
 status ``realized_<name>``, and the verification takes from that row
@@ -36,12 +44,17 @@ independent code paths.
 
 from __future__ import annotations
 
+import os
+
 from ._record import Record
 from .certificates import Certificate
 from .classifier import K7_REFERENCE, NumericalCase
-from .covers import CoverData, FixtureExpectations, make_cover, run_verification
-from .curves import CurveConfiguration, FiberDecomposition, NamedCurve
-from .lattice import SurfaceLattice
+from .covers import CoverData, FixtureExpectations, run_verification
+from .curves import CurveConfiguration, FiberDecomposition
+from .surface_io import load_surface
+
+# the directory of the shipped surface files
+_DIR = os.path.dirname(__file__)
 
 
 class FixtureError(KeyError):
@@ -54,37 +67,8 @@ def _reference_case(name: str) -> NumericalCase:
 
 
 # ---------------------------------------------------------------------------
-# inoue: blowup of the plane in six points
+# inoue: blowup of the plane in six points (basis L, E1, E2, E3, E1', E2', E3')
 # ---------------------------------------------------------------------------
-
-_INOUE_LATTICE = SurfaceLattice("inoue", ("E1", "E2", "E3", "E1'", "E2'", "E3'"))
-
-_INOUE_CURVES = (
-    # basis order: L, E1, E2, E3, E1', E2', E3'
-    ("E1", (0, 1, 0, 0, 0, 0, 0), "minus_one"),
-    ("E2", (0, 0, 1, 0, 0, 0, 0), "minus_one"),
-    ("E3", (0, 0, 0, 1, 0, 0, 0), "minus_one"),
-    ("E1'", (0, 0, 0, 0, 1, 0, 0), "minus_one"),
-    ("E2'", (0, 0, 0, 0, 0, 1, 0), "minus_one"),
-    ("E3'", (0, 0, 0, 0, 0, 0, 1), "minus_one"),
-    ("Gamma1", (1, -1, 0, 0, -1, 0, 0), "minus_one"),
-    ("Gamma2", (1, 0, -1, 0, 0, -1, 0), "minus_one"),
-    ("Gamma3", (1, 0, 0, -1, 0, 0, -1), "minus_one"),
-    ("F1", (2, 0, -1, -1, 0, -1, -1), "fiber"),
-    ("F2", (2, -1, 0, -1, -1, 0, -1), "fiber"),
-    ("F3", (2, -1, -1, 0, -1, -1, 0), "fiber"),
-    ("F1'", (2, 0, -1, -1, 0, -1, -1), "fiber"),
-    ("Z1", (1, -1, 0, 0, 0, -1, -1), "nodal"),
-    ("Z2", (1, 0, -1, 0, -1, 0, -1), "nodal"),
-    ("Z3", (1, 0, 0, -1, -1, -1, 0), "nodal"),
-    ("Z", (1, -1, -1, -1, 0, 0, 0), "nodal"),
-)
-
-_INOUE_DELTA = (
-    ("Gamma1", "F2", "Z1", "Z3"),
-    ("Gamma2", "F3"),
-    ("Gamma3", "F1", "F1'", "Z2", "Z"),
-)
 
 _INOUE_EXPECT = FixtureExpectations(
     case=_reference_case("inoue"),
@@ -129,43 +113,9 @@ _INOUE_REPORT = {
 
 
 # ---------------------------------------------------------------------------
-# dp1: blowup of the plane in eight points
+# dp1: blowup of the plane in eight points (basis L, E0, E1, E1', E2, E2', E3,
+# E3', E)
 # ---------------------------------------------------------------------------
-
-_DP1_LATTICE = SurfaceLattice(
-    "dp1", ("E0", "E1", "E1'", "E2", "E2'", "E3", "E3'", "E")
-)
-
-_DP1_CURVES = (
-    # basis order: L, E0, E1, E1', E2, E2', E3, E3', E
-    ("C1", (1, -1, -1, -1, 0, 0, 0, 0, 0), "nodal"),
-    ("C2", (1, -1, 0, 0, -1, -1, 0, 0, 0), "nodal"),
-    ("C3", (1, -1, 0, 0, 0, 0, -1, -1, 0), "nodal"),
-    ("C1'", (0, 0, 1, -1, 0, 0, 0, 0, 0), "nodal"),
-    ("C2'", (0, 0, 0, 0, 1, -1, 0, 0, 0), "nodal"),
-    ("C3'", (0, 0, 0, 0, 0, 0, 1, -1, 0), "nodal"),
-    ("E1'", (0, 0, 0, 1, 0, 0, 0, 0, 0), "minus_one"),
-    ("E2'", (0, 0, 0, 0, 0, 1, 0, 0, 0), "minus_one"),
-    ("E3'", (0, 0, 0, 0, 0, 0, 0, 1, 0), "minus_one"),
-    ("Fb", (1, -1, 0, 0, 0, 0, 0, 0, 0), "fiber"),
-    ("Gamma", (1, -1, 0, 0, 0, 0, 0, 0, -1), "minus_one"),
-    ("E", (0, 0, 0, 0, 0, 0, 0, 0, 1), "minus_one"),
-    ("B2", (5, -1, -2, -2, -2, -2, -2, -2, -1), "branch_component"),
-    ("B3", (6, -2, -2, -2, -2, -2, -2, -2, -3), "branch_component"),
-    ("Lambda", (3, -1, -1, -1, -1, -1, -1, 0, -2), "minus_one"),
-)
-
-_DP1_DELTA = (
-    ("Fb", "Gamma", "C1", "C1'", "C2", "C2'"),
-    ("B2", "C3", "C3'"),
-    ("B3",),
-)
-
-_DP1_ROOTS = (
-    (6, -2, -2, -2, -2, -2, -2, -3, -2),
-    (5, -3, -1, -2, -1, -2, -1, -1, -2),
-    (5, -3, -1, -2, -1, -2, -1, -2, -1),
-)
 
 _DP1_EXPECT = FixtureExpectations(
     case=_reference_case("dp1"),
@@ -228,18 +178,7 @@ _DP1_NOTES = (
 # ---------------------------------------------------------------------------
 
 
-def _build_config(lattice: SurfaceLattice, rows) -> CurveConfiguration:
-    return CurveConfiguration(
-        lattice,
-        tuple(NamedCurve(name, lattice.divisor(coeffs), role) for name, coeffs, role in rows),
-    )
-
-
 class _Fixture(Record):
-    lattice: SurfaceLattice
-    curves: tuple
-    delta: tuple[tuple[str, ...], ...]
-    roots: tuple[tuple[int, ...], ...] | None  # None: derived by halving
     expect: FixtureExpectations
     # deformation report inputs: frozen values keyed by the row id each
     # one checks, imported h2 bounds (None: no h1 analysis, so no h1 rows)
@@ -250,14 +189,8 @@ class _Fixture(Record):
 
 
 _FIXTURES = {
-    "dp1": _Fixture(
-        _DP1_LATTICE, _DP1_CURVES, _DP1_DELTA, _DP1_ROOTS, _DP1_EXPECT,
-        _DP1_REPORT, _DP1_H2_BOUNDS, _DP1_NOTES,
-    ),
-    "inoue": _Fixture(
-        _INOUE_LATTICE, _INOUE_CURVES, _INOUE_DELTA, None, _INOUE_EXPECT,
-        _INOUE_REPORT, None, (),
-    ),
+    "dp1": _Fixture(_DP1_EXPECT, _DP1_REPORT, _DP1_H2_BOUNDS, _DP1_NOTES),
+    "inoue": _Fixture(_INOUE_EXPECT, _INOUE_REPORT, None, ()),
 }
 
 FIXTURE_NAMES = tuple(_FIXTURES)
@@ -270,10 +203,10 @@ def _lookup(name: str) -> _Fixture:
 
 
 def fixture(name: str) -> tuple[CurveConfiguration, CoverData]:
-    entry = _lookup(name)
-    config = _build_config(entry.lattice, entry.curves)
-    roots = None if entry.roots is None else tuple(config.lattice.divisor(v) for v in entry.roots)
-    return config, make_cover(config, entry.delta, roots)
+    """A fixture's curves and cover, read from its shipped surface file."""
+    _lookup(name)
+    surface = load_surface(os.path.join(_DIR, name + ".json"))
+    return surface.config, surface.cover
 
 
 def expectations(name: str) -> FixtureExpectations:
@@ -292,6 +225,3 @@ def verify_surface(label: str, cover: CoverData) -> Certificate:
         return run_verification(cover, _FIXTURES[label].expect, f"fixture verification: {label}")
     return run_verification(cover, None, f"surface verification: {label}")
 
-
-def verify_fixture(name: str) -> Certificate:
-    return verify_surface(name, fixture(name)[1])

@@ -19,7 +19,7 @@ from bidouble.classifier import (
 from bidouble.cli import main
 from bidouble.cohomology import deformation_certificate
 from bidouble.curves import enumerate_classes, filter_effective_against_nodal
-from bidouble.fixtures import fixture, verify_fixture
+from bidouble.fixtures import fixture, verify_surface
 from bidouble.lattice import SurfaceLattice, is_perfect_square
 
 import test_properties
@@ -80,7 +80,7 @@ def test_c3_determinant_square_filter():
 
 def test_c4_dp1_fixture_certificate():
     start = time.monotonic()
-    cert = verify_fixture("dp1")
+    cert = verify_surface("dp1", fixture("dp1")[1])
     elapsed = time.monotonic() - start
     assert cert.overall == "pass"
     rows = rows_by_id(cert)
@@ -113,7 +113,7 @@ def test_c4_dp1_fixture_certificate():
 
 
 def test_c5_inoue_fixture_certificate():
-    cert = verify_fixture("inoue")
+    cert = verify_surface("inoue", fixture("inoue")[1])
     assert cert.overall == "pass"
     rows = rows_by_id(cert)
 

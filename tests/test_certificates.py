@@ -10,7 +10,7 @@ import pytest
 from bidouble.certificates import Certificate, canonical_json, check, recorded
 from bidouble.cli import classification_certificate
 from bidouble.cohomology import deformation_certificate
-from bidouble.fixtures import verify_fixture
+from bidouble.fixtures import fixture, verify_surface
 from bidouble.lattice import SurfaceLattice
 
 
@@ -206,8 +206,8 @@ def test_check_tells_bools_from_ints():
 @pytest.mark.parametrize("make", [
     lambda: classification_certificate(7),
     lambda: classification_certificate(21),
-    lambda: verify_fixture("dp1"),
-    lambda: verify_fixture("inoue"),
+    lambda: verify_surface("dp1", fixture("dp1")[1]),
+    lambda: verify_surface("inoue", fixture("inoue")[1]),
     lambda: deformation_certificate("dp1"),
     lambda: deformation_certificate("inoue"),
 ], ids=["classify-7", "classify-21", "verify-dp1", "verify-inoue", "report-dp1", "report-inoue"])

@@ -6,9 +6,11 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
+import re
 import runpy
 import shlex
 import subprocess
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import bidouble
-from bidouble import classifier, cli
+from bidouble import classifier, cli, fixtures
 from bidouble.classifier import MAX_K2
 from bidouble.cli import classification_certificate, main
 from bidouble.fixtures import FIXTURE_NAMES, fixture
@@ -119,15 +121,29 @@ def test_verify_fixtures(capsys):
         assert "overall: pass" in out
 
 
-def test_verify_export_round_trip(tmp_path, capsys):
-    path = tmp_path / "dp1.json"
-    code, direct, _ = run(capsys, "verify", "--fixture", "dp1",
-                          "--export", str(path), "--emit", "json")
+@pytest.mark.parametrize("emit", ["md", "json"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_verify_export_round_trip(tmp_path, capsys, name, emit):
+    # a fixture is its shipped file: the export writes it back byte for byte,
+    # and verifying the file prints what verifying the fixture prints
+    shipped = os.path.join(fixtures._DIR, name + ".json")
+    path = tmp_path / "surface.json"
+    code, direct, _ = run(capsys, "verify", "--fixture", name,
+                          "--export", str(path), "--emit", emit)
     assert code == 0
-    assert path.exists()
-    code, reloaded, _ = run(capsys, "verify", "--file", str(path), "--emit", "json")
+    with open(shipped, "rb") as handle:
+        assert path.read_bytes() == handle.read()
+    code, reloaded, _ = run(capsys, "verify", "--file", shipped, "--emit", emit)
     assert code == 0
     assert reloaded == direct
+
+
+def test_missing_fixture_file_is_input_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(fixtures, "_DIR", str(tmp_path))
+    code, out, err = run(capsys, "verify", "--fixture", "dp1")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {tmp_path / 'dp1.json'}: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_mutated_file_fails(tmp_path, capsys):
@@ -439,6 +455,24 @@ def test_parser_agrees_with_argparse_on_seeded_argvs(tmp_path):
     assert accepted > 300
     assert outcomes.count(0) > 10
     assert outcomes.count(2) > 300
+
+
+# argparse's own test for a negative number, which cli._negative_number replaces
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def test_negative_number_test_agrees_with_the_pattern():
+    # every token of "-" and up to four characters over digits (ASCII, Arabic-Indic,
+    # fullwidth), a superscript and a vulgar fraction (digits but not decimals),
+    # the dot, the dash, a line break (which "$" matches before) and letters
+    alphabet = "-10.\n\u0661\u00b2e x\u2155\uff11"
+    tokens = ["-" + "".join(chars)
+              for size in range(5) for chars in itertools.product(alphabet, repeat=size)]
+    tokens += ["", "1", "1.5", "-1\n\n", "\n-1", "-.5\n", "-5.\n", "-1.2.3", "--1", "- 1"]
+    for token in tokens:
+        assert cli._negative_number(token) == bool(NEGATIVE_NUMBER.match(token)), repr(token)
+    assert cli._negative_number("-1\n") and not cli._negative_number("-1\n\n")
+    assert cli._negative_number("-\u0661") and not cli._negative_number("-\u00b2")
 
 
 def reference_rows(command):

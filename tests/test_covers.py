@@ -10,7 +10,7 @@ from bidouble.covers import (
     permute_basis,
     run_verification,
 )
-from bidouble.fixtures import expectations, fixture, verify_fixture
+from bidouble.fixtures import expectations, fixture, verify_surface
 
 
 def test_building_data_passes_for_fixtures():
@@ -176,7 +176,7 @@ def test_permute_basis():
 
 def test_full_verification_certificates():
     for name in ("dp1", "inoue"):
-        cert = verify_fixture(name)
+        cert = verify_surface(name, fixture(name)[1])
         assert cert.overall == "pass"
         assert cert.failures() == []
         families = {r.row_id.split("/")[0] for r in cert.rows}
@@ -192,7 +192,7 @@ def test_verification_without_expectations_records_values():
 
 
 def test_swap_rows_present_for_inoue():
-    cert = verify_fixture("inoue")
+    cert = verify_surface("inoue", fixture("inoue")[1])
     swap_rows = [r for r in cert.rows if r.row_id.startswith("swap/")]
     assert len(swap_rows) == 10
     assert all(r.status == "pass" for r in swap_rows)

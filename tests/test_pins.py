@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from bidouble import fixtures
 from bidouble.cli import main
 
 CHECKS_PATH = Path(__file__).resolve().parent.parent / "bench" / "checks.py"
@@ -60,6 +61,13 @@ def test_paper_command_bytes_match_the_bench_pins(key, tmp_path, capsys):
     assert code == (1 if spec.get("k2", 7) != 7 else 0)
     data = Path(spec["export"]).read_bytes() if "export" in spec else out.encode("utf-8")
     assert hashlib.sha256(data).hexdigest() == checks.PIN_SHA256[key]
+
+
+@pytest.mark.parametrize("name", fixtures.FIXTURE_NAMES)
+def test_shipped_surface_file_matches_its_export_pin(name):
+    # the file a fixture is read from holds the bytes that its export writes
+    data = (Path(fixtures._DIR) / f"{name}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == checks.PIN_SHA256[f"surface-{name}.json"]
 
 
 def test_every_pinned_command_kind_is_covered():

@@ -13,7 +13,7 @@ from bidouble._record import Record
 from bidouble.certificates import CheckRow, canonical_json, check
 from bidouble.classifier import K7_REFERENCE, ClassifierError, NumericalCase, classify_with_trace
 from bidouble.covers import FixtureExpectations, compute_invariants
-from bidouble.fixtures import expectations, fixture, verify_fixture
+from bidouble.fixtures import expectations, fixture, verify_surface
 from bidouble.lattice import DivisorClass, SurfaceLattice
 from bidouble.surface_io import SurfaceFile, surface_from_dict, surface_to_dict
 
@@ -156,7 +156,7 @@ def _one_of_each() -> list[Record]:
     config, cover = fixture("dp1")
     expect = expectations("dp1")
     outcome = classify_with_trace(7)
-    certificate = verify_fixture("dp1")
+    certificate = verify_surface("dp1", fixture("dp1")[1])
     surface = surface_from_dict(surface_to_dict(SurfaceFile("dp1", config, cover)))
     return [
         config.lattice, config.lattice.line(), config.curves[0], config, cover,

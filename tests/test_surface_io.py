@@ -5,7 +5,7 @@ import json
 import pytest
 
 from bidouble.covers import run_verification
-from bidouble.fixtures import expectations, fixture, verify_fixture
+from bidouble.fixtures import expectations, fixture, verify_surface
 from bidouble.surface_io import (
     MAX_COEFFICIENT,
     SurfaceFile,
@@ -38,7 +38,7 @@ def test_dict_round_trip_preserves_everything():
 def test_round_trip_certificate_identical():
     surface = dp1_surface()
     back = surface_from_dict(surface_to_dict(surface))
-    original = verify_fixture("dp1")
+    original = verify_surface("dp1", fixture("dp1")[1])
     again = run_verification(back.cover, expectations("dp1"), "fixture verification: dp1")
     assert again.to_json() == original.to_json()
 
