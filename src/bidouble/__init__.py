@@ -16,7 +16,7 @@ from importlib import import_module
 _EXPORTS = {
     "certificates": ("Certificate", "CheckRow", "canonical_json", "check", "recorded"),
     "classifier": (
-        "ClassifierError", "NumericalCase", "branch_genus", "branch_matrix_determinant",
+        "ClassifierError", "NumericalCase", "branch_matrix_determinant",
         "candidate_k_triples", "classification_certificate", "classify",
         "classify_with_trace", "eigenspace_dims", "enumerate_m_triples",
     ),

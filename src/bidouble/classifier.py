@@ -63,6 +63,11 @@ MAX_K2 = 50
 
 Triple = tuple[int, int, int]
 
+# (R_1^2, R_2^2, R_3^2): every divisorial fixed part is a (-1)-curve. The
+# search builds this in (the class squares 2m_i - 2 and 2(m_1 + m_2 + m_3) - 3
+# and the -1 diagonal of ``branch_matrix_determinant``), so no case carries it.
+R_SQUARES: Triple = (-1, -1, -1)
+
 
 def branch_matrix_determinant(m: Triple) -> int:
     """det of the pairing matrix of the three branch classes.
@@ -316,7 +321,6 @@ class NumericalCase(Record):
     k_sigma_sq: int
     det_a: int
     status: str
-    r: Triple = (-1, -1, -1)
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
@@ -340,7 +344,7 @@ class NumericalCase(Record):
             "K2": self.k2,
             "k": list(self.k),
             "m": list(self.m_reported),
-            "r": list(self.r),
+            "r": list(R_SQUARES),
             "l": list(self.l),
             "KSigma2": self.k_sigma_sq,
             "detA": self.det_a,
@@ -435,30 +439,3 @@ def classify_with_trace(k2: int) -> ClassificationOutcome:
         m_rejections=tuple(m_rejections),
     )
 
-
-# ---------------------------------------------------------------------------
-# branch genus
-# ---------------------------------------------------------------------------
-
-
-def branch_genus(case: NumericalCase, i: int) -> int | None:
-    """Arithmetic genus of the i-th branch divisor (i in 1..3), or None.
-
-    None means the formula came out non-integral, which is itself usable
-    as a consistency failure for fabricated data.
-    """
-    if i not in (1, 2, 3):
-        raise ClassifierError("branch index must be 1, 2 or 3")
-    a = i - 1
-    b, c = (a + 1) % 3, (a + 2) % 3
-    four_pa = (
-        case.k[a]
-        + case.r[a]
-        - case.k[b]
-        - case.k[c]
-        + 2 * (case.l[b] + case.l[c])
-        - 4
-    )
-    if four_pa % 4:
-        return None
-    return four_pa // 4

@@ -304,34 +304,36 @@ class FixtureExpectations(Record):
     but D, dims and the K_V^2 identity against values computed from it.
     The fields below freeze only what the row cannot give: the class of
     D, the character dimensions (deriving them would repeat
-    ``compute_invariants``) and the name-keyed tables.
+    ``compute_invariants``) and the name-keyed tables. ``d_shape`` states
+    D = a K_W + C as (a, name of C), so the expected class is computed on
+    the lattice of the file being verified, in whatever basis it uses.
     """
 
     case: classifier.NumericalCase
-    d_class: tuple[int, ...]
+    d_shape: tuple[int, str]
     dims: tuple[int, int, int, int]
-    table: dict[tuple[str, str], int] = {}
-    fibers: tuple[FiberDecomposition, ...] = ()
-    d_dot: dict[str, int] = {}
-    m_dot: dict[str, int] = {}
-    swap_basis: dict[str, str] | None = None
-    swap_rows: tuple[tuple[str, str], ...] = ()
-    d_description: str = "class of D = 2K_W + B_1 + B_2 + B_3"
-
-    def __post_init__(self) -> None:
-        # dicts of its own, never the {} defaults every instance shares
-        for name in ("table", "d_dot", "m_dot"):
-            object.__setattr__(self, name, dict(getattr(self, name)))
+    table: dict[tuple[str, str], int]
+    fibers: tuple[FiberDecomposition, ...]
+    d_dot: dict[str, int]
+    m_dot: dict[str, int]
+    swap_basis: dict[str, str] | None
+    swap_rows: tuple[tuple[str, str], ...]
 
 
-def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[CheckRow]:
+def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations,
+                    config: CurveConfiguration) -> list[CheckRow]:
     ref = "intersection number"
     case = expect.case
     # D.K_W = (D^2 - sum D.B_i) / 2, since D - 2K_W = B_1 + B_2 + B_3 and D^2 = K^2
     dk = (case.k2 - sum(case.k)) // 2
+    # D as the fixture states it, a K_W + C, on this configuration's lattice
+    a, curve = expect.d_shape
+    d_expected = a * config.lattice.canonical_class() + config.cls(curve)
+    multiple = {1: "", -1: "-"}.get(a, str(a))
     rows = [
-        check("invariant/D", expect.d_description, ref,
-              inv.d.coeffs, expect.d_class),
+        check("invariant/D",
+              f"class of D = 2K_W + B_1 + B_2 + B_3 (equal to {multiple}K_W + {curve})",
+              ref, inv.d.coeffs, d_expected.coeffs),
         # D plays the part of K on W: D.B_i = k_i = K.R_i and D^2 = K^2
         check("invariant/D2", "D^2", ref, inv.d_sq, case.k2),
         check("invariant/DKW", "D.K_W", ref, inv.d_kw, dk),
@@ -341,7 +343,8 @@ def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations) -> list[C
               case.k_sigma_sq + 2 * dk + case.k2),
         check("invariant/DB", "(D.B_1, D.B_2, D.B_3)", ref, inv.db, case.k),
         check("invariant/BB", "(B_1B_2, B_1B_3, B_2B_3)", ref, inv.bb, case.m_reported),
-        check("invariant/B2", "(B_1^2, B_2^2, B_3^2)", ref, inv.b_sq, case.r),
+        check("invariant/B2", "(B_1^2, B_2^2, B_3^2)", ref, inv.b_sq,
+              classifier.R_SQUARES),
         check("invariant/l", "nodal counts (l_1, l_2, l_3)", "nodal bookkeeping",
               inv.l, case.l),
         # each of the l_1 + l_2 + l_3 nodal curves lifts to two (-1)-curves of V,
@@ -399,6 +402,7 @@ def _missing_names(config: CurveConfiguration, expect: FixtureExpectations) -> l
     for decomposition in expect.fibers:
         curves.add(decomposition.fiber)
         curves.update(name for name, _ in decomposition.components)
+    curves.add(expect.d_shape[1])
     curves.update(expect.d_dot, expect.m_dot)
     curves.update(name for pair in expect.swap_rows for name in pair)
     swap = expect.swap_basis or {}
@@ -481,7 +485,7 @@ def run_verification(
                   problems if problems else "ok", "ok")
         )
 
-    rows.extend(_invariant_rows(inv, expect))
+    rows.extend(_invariant_rows(inv, expect, config))
 
     for name in sorted(expect.d_dot):
         rows.append(

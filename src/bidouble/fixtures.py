@@ -28,8 +28,13 @@ every number it can give: k, reported m, l, K_Sigma^2 and K^2, and what
 follows from them on a surface with p_g = q = 0 (D^2, D.K_W, M^2, the
 B_i^2, K_V^2, the blowdown count, sum L_i(L_i + K_W) and chi(O), computed
 in ``covers``). The expectation tables below freeze only what
-the row cannot give: the class of D, the character dimensions and the
-name-keyed intersection, fiber, dot and swap tables. A fixture's entry
+the row cannot give: D, the character dimensions and the name-keyed
+intersection, fiber, dot and swap tables. D is stated by name, as
+a K_W + C for a named curve C (dp1: -2K_W + Gamma, inoue: -K_W + F1'),
+and the expected class is computed on the lattice of the file being
+verified, so a fixture label fixes D in any basis: an isometry that
+fixes K_W and moves every curve, such as a reflection in a (-2)-class
+orthogonal to K_W, moves the expected D with them. A fixture's entry
 also holds every input of its deformation report: the frozen values are
 keyed by the ``report/...`` row id each one checks, and dp1 alone
 carries imported second-cohomology bounds, which give it the h1 rows,
@@ -72,7 +77,7 @@ def _reference_case(name: str) -> NumericalCase:
 
 _INOUE_EXPECT = FixtureExpectations(
     case=_reference_case("inoue"),
-    d_class=(5, -1, -2, -2, -1, -2, -2),
+    d_shape=(-1, "F1'"),
     dims=(7, 1, 0, 0),
     table={
         ("F1", "F1"): 0,
@@ -103,7 +108,6 @@ _INOUE_EXPECT = FixtureExpectations(
         ("F2", "F2"),
         ("F3", "F3"),
     ),
-    d_description="class of D = 2K_W + B_1 + B_2 + B_3 (equal to -K_W + F1')",
 )
 
 _INOUE_REPORT = {
@@ -119,7 +123,7 @@ _INOUE_REPORT = {
 
 _DP1_EXPECT = FixtureExpectations(
     case=_reference_case("dp1"),
-    d_class=(7, -3, -2, -2, -2, -2, -2, -2, -3),
+    d_shape=(-2, "Gamma"),
     dims=(6, 1, 1, 0),
     table={
         ("Lambda", "Lambda"): -1,
@@ -148,7 +152,6 @@ _DP1_EXPECT = FixtureExpectations(
     m_dot={},
     swap_basis=None,
     swap_rows=(),
-    d_description="class of D = 2K_W + B_1 + B_2 + B_3 (equal to -2K_W + Gamma)",
 )
 
 _DP1_REPORT = {

@@ -36,6 +36,19 @@ _COVER_KEYS = {"delta", "roots"}
 # coefficient that is itself legal JSON could otherwise exceed.
 MAX_COEFFICIENT = 10**100
 
+# Most basis names (L included) and curves a file may hold. Verification pairs
+# every two nodal curves, each pairing one pass over the basis, and prints a
+# row per pair, so its time grows with curves^2 x basis names: 800 nodal
+# curves took 39 s and 245 MB. The worst case at both caps, 128 nodal curves
+# of 64 coefficients near 10**100 each, took 0.32-0.41 s for `verify --file`
+# (0.35-0.58 s with `--emit json`) and 27-31 MB peak RSS: best of 5 whole
+# processes, Python 3.11.7 on a 2-vCPU VM. `enumerate --filtered` pairs each
+# class with each nodal curve: 128 copies of one nodal class on the
+# degree-one lattice took 3.6 s at self-intersection 1, against 0.43 s for
+# the six of the dp1 fixture.
+MAX_BASIS_NAMES = 64
+MAX_CURVES = 128
+
 
 # Names are printed in markdown table cells and one per line, so none may
 # hold the cell separator, a control character or a line break: the C0
@@ -89,6 +102,9 @@ def surface_from_dict(data) -> SurfaceFile:
         or any(not isinstance(b, str) for b in basis)
     ):
         raise SurfaceFileError("'basis' must be a non-empty list of names")
+    if len(basis) > MAX_BASIS_NAMES:
+        raise SurfaceFileError(f"'basis' has {len(basis)} names; a file may hold at most "
+                               f"{MAX_BASIS_NAMES}")
     if basis[0] != "L":
         raise SurfaceFileError("the first basis name must be 'L' (the +1 vector)")
     for b in basis:
@@ -105,6 +121,9 @@ def surface_from_dict(data) -> SurfaceFile:
     curves_data = data.get("curves", [])
     if not isinstance(curves_data, list):
         raise SurfaceFileError("'curves' must be a list")
+    if len(curves_data) > MAX_CURVES:
+        raise SurfaceFileError(f"'curves' has {len(curves_data)} entries; a file may hold at "
+                               f"most {MAX_CURVES}")
     named = []
     for entry in curves_data:
         if not isinstance(entry, dict) or set(entry) - _CURVE_KEYS:

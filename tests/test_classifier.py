@@ -8,7 +8,6 @@ from bidouble.classifier import (
     NumericalCase,
     _k_domain,
     _k_failure,
-    branch_genus,
     branch_matrix_determinant,
     candidate_k_triples,
     candidate_k_triples_trace,
@@ -232,29 +231,3 @@ def test_numerical_case_consistency_enforced():
             k_sigma_sq=good.k_sigma_sq, det_a=good.det_a, status="fabulous",
         )
 
-
-def case_by_m(m_reported):
-    for c in classify(7):
-        if c.m_reported == m_reported:
-            return c
-    raise AssertionError(m_reported)
-
-
-def test_branch_genus_values():
-    inoue = case_by_m((5, 9, 7))
-    assert [branch_genus(inoue, i) for i in (1, 2, 3)] == [-1, -1, -2]
-    dp1 = case_by_m((7, 5, 1))
-    assert [branch_genus(dp1, i) for i in (1, 2, 3)] == [-1, 0, 0]
-    open_case = case_by_m((1, 3, 1))
-    assert [branch_genus(open_case, i) for i in (1, 2, 3)] == [1, 1, 0]
-    with pytest.raises(ClassifierError):
-        branch_genus(dp1, 4)
-
-
-def test_branch_genus_non_integral_is_none():
-    dp1 = case_by_m((7, 5, 1))
-    tweaked = NumericalCase(
-        k2=dp1.k2, k=dp1.k, m=dp1.m, l=dp1.l, k_sigma_sq=dp1.k_sigma_sq,
-        det_a=dp1.det_a, status=dp1.status, r=(0, -1, -1),
-    )
-    assert branch_genus(tweaked, 1) is None

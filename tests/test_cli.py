@@ -24,7 +24,7 @@ from bidouble import classifier, cli, fixtures
 from bidouble.classifier import MAX_K2
 from bidouble.cli import classification_certificate, main
 from bidouble.fixtures import FIXTURE_NAMES, fixture
-from bidouble.surface_io import SurfaceFile, surface_to_dict
+from bidouble.surface_io import MAX_BASIS_NAMES, MAX_CURVES, SurfaceFile, surface_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -271,6 +271,20 @@ def test_unparseable_file_is_input_error(tmp_path, capsys, command, content, sta
     assert (code, out) == (2, "")
     assert err.startswith("error: " + start.format(path=path))
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["verify"], ["enumerate", "--selfint", "-1"]],
+                         ids=["verify", "enumerate"])
+@pytest.mark.parametrize("key, cap, what", [("basis", MAX_BASIS_NAMES, "names"),
+                                           ("curves", MAX_CURVES, "entries")])
+def test_file_over_a_size_cap_is_input_error(tmp_path, capsys, command, key, cap, what):
+    # the count is checked before any entry is read, so copies of the last one do
+    doc = surface_to_dict(SurfaceFile("dp1", *fixture("dp1")))
+    doc[key] += [doc[key][-1]] * (cap + 1 - len(doc[key]))
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, command[0], "--file", str(path), *command[1:]) == (
+        2, "", f"error: '{key}' has {cap + 1} {what}; a file may hold at most {cap}\n")
 
 
 @pytest.mark.parametrize("target", ["missing/dir/x.json", "."], ids=["no-parent", "directory"])

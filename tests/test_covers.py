@@ -4,6 +4,7 @@ import pytest
 
 from bidouble.covers import (
     CoverError,
+    FixtureExpectations,
     building_data_rows,
     compute_invariants,
     make_cover,
@@ -49,10 +50,9 @@ def test_branch_classes_split_off_nodal_parts():
 
 
 def test_invariants_dp1():
-    e = expectations("dp1")
     _, cover = fixture("dp1")
     inv = compute_invariants(cover)
-    assert inv.d.coeffs == e.d_class
+    assert inv.d.coeffs == (7, -3, -2, -2, -2, -2, -2, -2, -3)
     assert inv.d_sq == 7
     assert inv.d_kw == -3
     assert inv.m_sq == 2
@@ -71,6 +71,7 @@ def test_invariants_dp1():
 def test_invariants_inoue():
     _, cover = fixture("inoue")
     inv = compute_invariants(cover)
+    assert inv.d.coeffs == (5, -1, -2, -2, -1, -2, -2)
     assert inv.d_sq == 7
     assert inv.d_kw == -5
     assert inv.m_sq == 0
@@ -108,6 +109,16 @@ def test_dp1_polarization_shape():
     inv = compute_invariants(cover)
     expected = -2 * config.lattice.canonical_class() + config.cls("Gamma")
     assert inv.d.coeffs == expected.coeffs
+
+
+def test_polarization_curve_is_a_name_the_expectations_use():
+    # D = -2K_W + C for a C the file lacks: one fixture/names row, not an error
+    _, cover = fixture("dp1")
+    dp1 = expectations("dp1")
+    fields = {name: getattr(dp1, name) for name in FixtureExpectations._fields}
+    expect = FixtureExpectations(**{**fields, "d_shape": (-2, "Gamma'")})
+    cert = run_verification(cover, expect, "fixture verification: dp1")
+    assert [(r.row_id, r.computed) for r in cert.failures()] == [("fixture/names", ["Gamma'"])]
 
 
 def test_verification_refuses_broken_building_data():

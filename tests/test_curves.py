@@ -195,7 +195,8 @@ def test_intersection_table_checks():
     table = {("Lambda", "Lambda"): -1, ("Lambda", "Fb"): 3, ("B2", "B3"): 1}
     # dp1's expectations with only this table: no fiber, dot or swap rows
     dp1 = expectations("dp1")
-    expect = FixtureExpectations(case=dp1.case, d_class=dp1.d_class, dims=dp1.dims, table=table)
+    expect = FixtureExpectations(case=dp1.case, d_shape=dp1.d_shape, dims=dp1.dims, table=table,
+                                 fibers=(), d_dot={}, m_dot={}, swap_basis=None, swap_rows=())
     cert = run_verification(cover, expect, "table: dp1")
     rows = {r.row_id: r for r in cert.rows if r.row_id.startswith("table/")}
     # sorted key order, not the order the table was written in

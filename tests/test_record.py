@@ -12,7 +12,7 @@ from bidouble import cli, fixtures  # noqa: F401  (cli loads every module, so ev
 from bidouble._record import Record
 from bidouble.certificates import CheckRow, canonical_json, check
 from bidouble.classifier import K7_REFERENCE, ClassifierError, NumericalCase, classify_with_trace
-from bidouble.covers import FixtureExpectations, compute_invariants
+from bidouble.covers import compute_invariants
 from bidouble.fixtures import expectations, fixture, verify_surface
 from bidouble.lattice import DivisorClass, SurfaceLattice
 from bidouble.surface_io import SurfaceFile, surface_from_dict, surface_to_dict
@@ -27,9 +27,11 @@ def test_construction_by_position_keyword_and_default():
     assert DivisorClass(lat, (3, -1, 0)) == DivisorClass(coeffs=(3, -1, 0), lattice=lat)
     case = NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "realized_dp1")
     assert case == K7_REFERENCE[1]
-    assert case.r == (-1, -1, -1)
-    with_r = NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "open", r=(1, 2, 3))
-    assert with_r.r == (1, 2, 3)
+    assert len(NumericalCase._fields) == 7
+    # R_i^2 = -1 is a constant of the classifier, not a field with a default
+    with pytest.raises(TypeError, match=r"^NumericalCase\(\) got an unexpected keyword "
+                                        r"argument 'r'$"):
+        NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "open", r=(1, 2, 3))
     with pytest.raises(TypeError, match=r"^DivisorClass\(\) missing argument 'coeffs'$"):
         DivisorClass(lat)
     with pytest.raises(TypeError, match=r"^DivisorClass\(\) takes 2 arguments \(lattice, "
@@ -43,16 +45,16 @@ def test_post_init_validates_and_normalises():
         ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "bogus"), "unknown status 'bogus'"),
         ((7, (5, 5, 3), (1, 5, 7), (4, 2, 1), 1, 144, "open"),
          "2l+m = k+4 violated at index 3: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 7), "
-         "l=(4, 2, 1), k_sigma_sq=1, det_a=144, status='open', r=(-1, -1, -1))"),
+         "l=(4, 2, 1), k_sigma_sq=1, det_a=144, status='open')"),
         ((7, (5, 5, 3), (1, 5, 9), (4, 2, -1), 2, 196, "open"),
          "negative nodal count at index 3: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 9), "
-         "l=(4, 2, -1), k_sigma_sq=2, det_a=196, status='open', r=(-1, -1, -1))"),
+         "l=(4, 2, -1), k_sigma_sq=2, det_a=196, status='open')"),
         ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 2, 144, "open"),
          "base square inconsistent with nodal counts: NumericalCase(k2=7, k=(5, 5, 3), "
-         "m=(1, 5, 7), l=(4, 2, 0), k_sigma_sq=2, det_a=144, status='open', r=(-1, -1, -1))"),
+         "m=(1, 5, 7), l=(4, 2, 0), k_sigma_sq=2, det_a=144, status='open')"),
         ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 145, "open"),
          "stored determinant does not match m: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 7), "
-         "l=(4, 2, 0), k_sigma_sq=1, det_a=145, status='open', r=(-1, -1, -1))"),
+         "l=(4, 2, 0), k_sigma_sq=1, det_a=145, status='open')"),
     ):
         with pytest.raises(ClassifierError) as exc:
             NumericalCase(*args)
@@ -86,8 +88,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(lat) == hash(("t", ("E1", "E2")))
     assert hash(DivisorClass(lat, (3, -1, 0))) == hash((lat, (3, -1, 0)))
     case = K7_REFERENCE[0]
-    assert hash(case) == hash((7, (7, 5, 5), (7, 9, 5), (2, 0, 2), 3, 784, "realized_inoue",
-                               (-1, -1, -1)))
+    assert hash(case) == hash((7, (7, 5, 5), (7, 9, 5), (2, 0, 2), 3, 784, "realized_inoue"))
     assert len({DivisorClass(lat, (1, 0, 0)), lat.line(), lat.zero()}) == 2
     with pytest.raises(TypeError):
         hash(CheckRow("a/b", "desc", "ref", [1], [1], "pass"))  # a list field
@@ -127,22 +128,21 @@ def test_a_record_is_not_certificate_data():
         canonical_json({"class": lattice().line()})
 
 
-def test_dict_defaults_are_not_shared():
-    dp1 = expectations("dp1")
-    fields = dict(case=dp1.case, d_class=dp1.d_class, dims=dp1.dims)
-    first, second = FixtureExpectations(**fields), FixtureExpectations(**fields)
-    first.table[("Fb", "Fb")] = 0
-    first.d_dot["Fb"] = 4
-    first.m_dot["Fb"] = 0
-    assert (second.table, second.d_dot, second.m_dot) == ({}, {}, {})
-    assert FixtureExpectations.table == {}
+def test_a_field_default_is_refused():
+    # first, last or every field: a default anywhere raises when the class is made
+    for defaults in ({"a": 0}, {"b": {}}, {"a": (), "b": None}):
+        with pytest.raises(TypeError, match=r"^field '[ab]' of Bad has a default; "
+                                            r"record fields take none$"):
+            type("Bad", (Record,), {"__annotations__": {"a": int, "b": int}, **defaults})
 
+    class Plain(Record):
+        a: int
+        b: int
 
-def test_defaults_must_trail():
-    with pytest.raises(TypeError, match="'b' without a default"):
-        class Bad(Record):
-            a: int = 0
-            b: int
+    assert Plain(1, b=2) == Plain(1, 2)
+    with pytest.raises(TypeError, match=r"^field 'a' of .*Sub has a default"):
+        class Sub(Plain):
+            a = 1
 
 
 def _record_classes(cls=Record):
@@ -217,9 +217,8 @@ def test_equality_reads_declared_fields_only(record):
 def test_bad_arguments_name_the_class_and_the_field(record):
     cls, values = type(record), _values(record)
     name, fields = cls.__qualname__, cls._fields
-    required = sum(not hasattr(cls, field) for field in fields)
     for args, kwargs, message in (
-        (values[:required - 1], {}, f"{name}() missing argument {fields[required - 1]!r}"),
+        (values[:-1], {}, f"{name}() missing argument {fields[-1]!r}"),
         ((), {fields[0]: values[0]}, f"{name}() missing argument {fields[1]!r}"),
         (values + (None,), {},
          f"{name}() takes {len(fields)} arguments ({', '.join(fields)}) "

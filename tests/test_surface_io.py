@@ -7,7 +7,9 @@ import pytest
 from bidouble.covers import run_verification
 from bidouble.fixtures import expectations, fixture, verify_surface
 from bidouble.surface_io import (
+    MAX_BASIS_NAMES,
     MAX_COEFFICIENT,
+    MAX_CURVES,
     SurfaceFile,
     SurfaceFileError,
     load_surface,
@@ -169,3 +171,30 @@ def test_coefficient_bound_is_inclusive_for_classes_and_roots():
     doc["cover"]["roots"][1][2] = MAX_COEFFICIENT + 1
     with pytest.raises(SurfaceFileError, match="root 2 has a coefficient above"):
         surface_from_dict(doc)
+
+
+def widened(doc: dict, basis: int, curves: int) -> dict:
+    """``doc`` with zero-coefficient basis names and "other" curves appended up to the sizes."""
+    extra = basis - len(doc["basis"])
+    doc = json.loads(json.dumps(doc))
+    doc["basis"] += [f"X{i}" for i in range(extra)]
+    doc["signature"] += [-1] * extra
+    for curve in doc["curves"]:
+        curve["class"] += [0] * extra
+    doc["cover"]["roots"] = [root + [0] * extra for root in doc["cover"]["roots"]]
+    doc["curves"] += [{"name": f"Y{i}", "class": [1] + [0] * (basis - 1), "role": "other"}
+                      for i in range(curves - len(doc["curves"]))]
+    return doc
+
+
+def test_size_caps_are_inclusive():
+    doc = surface_to_dict(dp1_surface())
+    at_caps = surface_from_dict(widened(doc, MAX_BASIS_NAMES, MAX_CURVES))
+    assert (at_caps.config.lattice.rank, len(at_caps.config.curves)) == (MAX_BASIS_NAMES, MAX_CURVES)
+    assert verify_surface("mine", at_caps.cover).overall == "pass"
+    with pytest.raises(SurfaceFileError, match=f"^'basis' has {MAX_BASIS_NAMES + 1} names; "
+                                               f"a file may hold at most {MAX_BASIS_NAMES}$"):
+        surface_from_dict(widened(doc, MAX_BASIS_NAMES + 1, MAX_CURVES))
+    with pytest.raises(SurfaceFileError, match=f"^'curves' has {MAX_CURVES + 1} entries; "
+                                               f"a file may hold at most {MAX_CURVES}$"):
+        surface_from_dict(widened(doc, MAX_BASIS_NAMES, MAX_CURVES + 1))
