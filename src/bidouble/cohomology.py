@@ -20,7 +20,7 @@ from __future__ import annotations
 from .certificates import Certificate, check, recorded
 from .covers import CoverData, compute_invariants
 from .curves import CurveConfiguration
-from .fixtures import expectations, fixture, report_inputs
+from .fixtures import _lookup, fixture
 from .lattice import DivisorClass, SurfaceLattice, arithmetic_genus
 
 
@@ -78,11 +78,10 @@ def deformation_certificate(fixture_name: str) -> Certificate:
     """Deformation bookkeeping of a fixture, checked against its frozen values.
 
     Every fixture gets the characteristic and balance rows. A fixture
-    whose entry carries imported h2 bounds also gets the invariant h1 row
-    and the recorded inputs and bound totals that go with it.
+    whose entry carries an h1 analysis also gets the invariant h1 row and
+    the recorded inputs and bound totals that go with it.
     """
-    frozen, h2_bounds, notes = report_inputs(fixture_name)
-    case = expectations(fixture_name).case
+    entry = _lookup(fixture_name)
     config, cover = fixture(fixture_name)
     kw = config.lattice.canonical_class()
     chi_twist = chi_rank2_twist(config.lattice, kw)
@@ -90,7 +89,7 @@ def deformation_certificate(fixture_name: str) -> Certificate:
     chi_log = chi_twist + chi_restr
     inv = compute_invariants(cover)
     balance = 2 * inv.k_s_sq - 10 * inv.chi_ov
-    twist, restr = frozen["report/chi-twist"], frozen["report/chi-restrictions"]
+    twist, restr = entry.chi_twist, entry.chi_restrictions
     rows = [
         check("report/chi-twist", "chi of the K_W-twisted cotangent sheaf",
               "Riemann-Roch", chi_twist, twist),
@@ -101,26 +100,27 @@ def deformation_certificate(fixture_name: str) -> Certificate:
         # p_g = q = 0 on the minimal model, so chi(O) = 1 and the balance is
         # 2K^2 - 10 with the K^2 of the fixture's table row
         check("report/balance", "2K^2 - 10chi of the minimal cover",
-              "tangent sheaf balance", balance, 2 * case.k2 - 10),
+              "tangent sheaf balance", balance, 2 * entry.expect.case.k2 - 10),
     ]
-    if h2_bounds is not None:
-        h2_total = sum(h2_bounds)
+    if entry.h1 is not None:
+        h1_inv, bounds = entry.h1
+        h2_total = sum(bounds)
         h1_total = h2_total - balance
         rows += [
             check("report/h1-inv", "invariant first cohomology of the tangent sheaf",
-                  "tangent sheaf balance", -chi_log, frozen["report/h1-inv"]),
+                  "tangent sheaf balance", -chi_log, h1_inv),
             recorded("report/h0-h2-vanishing",
                      "0th and 2nd log-sheaf cohomology vanish (imported input)",
                      "imported vanishing", "imported, not derived"),
             recorded("report/h2-bounds",
                      f"per-character upper bounds for second tangent cohomology, total {h2_total}",
-                     "imported bounds", list(h2_bounds)),
+                     "imported bounds", list(bounds)),
             recorded("report/h-totals",
                      f"bound totals: h1 <= {h1_total} and h2 <= {h2_total}; "
                      "their difference equals the balance",
                      "tangent sheaf balance",
                      {"h1_total_bound": h1_total, "h2_total_bound": h2_total}),
         ]
-    for i, note in enumerate(notes + (_BALANCE_NOTE,), start=1):
+    for i, note in enumerate(entry.notes + (_BALANCE_NOTE,), start=1):
         rows.append(recorded(f"report/note-{i}", note, "provenance note", "noted"))
     return Certificate(title=f"deformation report: {fixture_name}", rows=tuple(rows))

@@ -307,6 +307,8 @@ class FixtureExpectations(Record):
     ``compute_invariants``) and the name-keyed tables. ``d_shape`` states
     D = a K_W + C as (a, name of C), so the expected class is computed on
     the lattice of the file being verified, in whatever basis it uses.
+    ``swap`` is None or the pair (basis map, rows): the map permutes basis
+    names, and each row (src, dst) checks that it sends curve src to dst.
     """
 
     case: classifier.NumericalCase
@@ -316,8 +318,7 @@ class FixtureExpectations(Record):
     fibers: tuple[FiberDecomposition, ...]
     d_dot: dict[str, int]
     m_dot: dict[str, int]
-    swap_basis: dict[str, str] | None
-    swap_rows: tuple[tuple[str, str], ...]
+    swap: tuple[dict[str, str], tuple[tuple[str, str], ...]] | None
 
 
 def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations,
@@ -404,9 +405,9 @@ def _missing_names(config: CurveConfiguration, expect: FixtureExpectations) -> l
         curves.update(name for name, _ in decomposition.components)
     curves.add(expect.d_shape[1])
     curves.update(expect.d_dot, expect.m_dot)
-    curves.update(name for pair in expect.swap_rows for name in pair)
-    swap = expect.swap_basis or {}
-    basis = {*swap, *swap.values()}
+    mapping, pairs = expect.swap or ({}, ())
+    curves.update(name for pair in pairs for name in pair)
+    basis = {*mapping, *mapping.values()}
     return sorted((curves - set(config.names())) | (basis - set(config.lattice.basis_names)))
 
 
@@ -500,9 +501,10 @@ def run_verification(
 
     rows.extend(_case_rows(inv, expect.case))
 
-    if expect.swap_basis is not None:
-        for src, dst in expect.swap_rows:
-            image = permute_basis(config.cls(src), expect.swap_basis)
+    if expect.swap is not None:
+        mapping, pairs = expect.swap
+        for src, dst in pairs:
+            image = permute_basis(config.cls(src), mapping)
             rows.append(
                 check(f"swap/{src}",
                       f"the plane involution sends {src} to {dst}",

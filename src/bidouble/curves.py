@@ -214,9 +214,10 @@ def filter_effective_against_nodal(
     C.N >= 0, so a class failing this for some N cannot be such a curve.
     Comparisons where the candidate IS the nodal class are skipped, which
     keeps the nodal curves in the output and makes the filter idempotent.
-    Input order is preserved.
+    Input order is preserved. Each distinct nodal class is tested once,
+    however many names the configuration gives it.
     """
-    nodal = [c.cls for c in config.by_role("nodal")]
+    nodal = list({c.cls.coeffs: c.cls for c in config.by_role("nodal")}.values())
     kept = []
     for cand in candidates:
         ok = True

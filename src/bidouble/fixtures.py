@@ -34,17 +34,24 @@ a K_W + C for a named curve C (dp1: -2K_W + Gamma, inoue: -K_W + F1'),
 and the expected class is computed on the lattice of the file being
 verified, so a fixture label fixes D in any basis: an isometry that
 fixes K_W and moves every curve, such as a reflection in a (-2)-class
-orthogonal to K_W, moves the expected D with them. A fixture's entry
-also holds every input of its deformation report: the frozen values are
-keyed by the ``report/...`` row id each one checks, and dp1 alone
-carries imported second-cohomology bounds, which give it the h1 rows,
-and provenance notes. Only the two hand-computed characteristics
-(``chi-twist``, ``chi-restrictions``) and dp1's ``h1-inv`` = 3, the
-paper's "dimension 3", are frozen: ``cohomology`` derives the expected
-log sum from the first two and the balance from the table row's K^2.
-Every frozen number was recomputed by hand from the coefficient vectors
-before being frozen; the test suite re-derives the same values through
-independent code paths.
+orthogonal to K_W, moves the expected D with them. The swap is
+different: ``swap`` pairs a permutation of basis names with the curve
+rows it must map (inoue exchanges E_i and E_i' for i = 1, 2), so a label
+fixes the swap in the shipped coordinates only. A coordinate-free swap,
+an isometry of the lattice that moves with the file, is left open. A
+fixture without a swap states None, so a map without rows, or rows
+without a map, cannot be written down.
+
+A fixture's entry also holds every input of its deformation report as
+typed fields: the two hand-computed characteristics ``chi_twist`` and
+``chi_restrictions``, ``h1`` and provenance notes. ``h1`` is None (no h1
+rows) or the pair (invariant h1, imported per-character h2 bounds); dp1
+alone has one, with invariant h1 = 3, the paper's "dimension 3", so no
+entry can hold bounds without the value they bound. ``cohomology``
+derives the expected log sum from the two characteristics and the
+balance from the table row's K^2. Every frozen number was recomputed by
+hand from the coefficient vectors before being frozen; the test suite
+re-derives the same values through independent code paths.
 """
 
 from __future__ import annotations
@@ -95,25 +102,22 @@ _INOUE_EXPECT = FixtureExpectations(
     ),
     d_dot={"F1": 2, "F1'": 2, "F2": 4, "F3": 4},
     m_dot={"F1": 0, "F1'": 0},
-    swap_basis={"E1": "E1'", "E1'": "E1", "E2": "E2'", "E2'": "E2"},
-    swap_rows=(
-        ("Z1", "Z2"),
-        ("Z2", "Z1"),
-        ("Z3", "Z"),
-        ("Z", "Z3"),
-        ("Gamma1", "Gamma1"),
-        ("Gamma2", "Gamma2"),
-        ("Gamma3", "Gamma3"),
-        ("F1", "F1"),
-        ("F2", "F2"),
-        ("F3", "F3"),
+    swap=(
+        {"E1": "E1'", "E1'": "E1", "E2": "E2'", "E2'": "E2"},
+        (
+            ("Z1", "Z2"),
+            ("Z2", "Z1"),
+            ("Z3", "Z"),
+            ("Z", "Z3"),
+            ("Gamma1", "Gamma1"),
+            ("Gamma2", "Gamma2"),
+            ("Gamma3", "Gamma3"),
+            ("F1", "F1"),
+            ("F2", "F2"),
+            ("F3", "F3"),
+        ),
     ),
 )
-
-_INOUE_REPORT = {
-    "report/chi-twist": -4,
-    "report/chi-restrictions": 0,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +154,8 @@ _DP1_EXPECT = FixtureExpectations(
     ),
     d_dot={"Fb": 4},
     m_dot={},
-    swap_basis=None,
-    swap_rows=(),
+    swap=None,
 )
-
-_DP1_REPORT = {
-    "report/chi-twist": -8,
-    "report/chi-restrictions": 5,
-    "report/h1-inv": 3,
-}
-
-# Imported per-character upper bounds for the second cohomology of the
-# tangent sheaf in the dp1 analysis: (invariant part, then one per
-# involution). The report pairs their total with the balance to bound h1.
-_DP1_H2_BOUNDS = (0, 2, 2, 3)
 
 _DP1_NOTES = (
     "h1_inv = 3 uses imported vanishing of the 0th and 2nd log-sheaf "
@@ -183,17 +175,22 @@ _DP1_NOTES = (
 
 class _Fixture(Record):
     expect: FixtureExpectations
-    # deformation report inputs: frozen values keyed by the row id each
-    # one checks, imported h2 bounds (None: no h1 analysis, so no h1 rows)
-    # and provenance notes
-    report: dict[str, int]
-    h2_bounds: tuple[int, ...] | None
+    # deformation report inputs: the expected report/chi-twist and
+    # report/chi-restrictions values, the h1 analysis and provenance notes
+    chi_twist: int
+    chi_restrictions: int
+    # None (no h1 rows), or (expected report/h1-inv, imported per-character
+    # upper bounds for the second cohomology of the tangent sheaf: invariant
+    # part, then one per involution); the report pairs the bounds' total
+    # with the balance
+    h1: tuple[int, tuple[int, ...]] | None
     notes: tuple[str, ...]
 
 
 _FIXTURES = {
-    "dp1": _Fixture(_DP1_EXPECT, _DP1_REPORT, _DP1_H2_BOUNDS, _DP1_NOTES),
-    "inoue": _Fixture(_INOUE_EXPECT, _INOUE_REPORT, None, ()),
+    "dp1": _Fixture(_DP1_EXPECT, chi_twist=-8, chi_restrictions=5, h1=(3, (0, 2, 2, 3)),
+                    notes=_DP1_NOTES),
+    "inoue": _Fixture(_INOUE_EXPECT, chi_twist=-4, chi_restrictions=0, h1=None, notes=()),
 }
 
 FIXTURE_NAMES = tuple(_FIXTURES)
@@ -214,12 +211,6 @@ def fixture(name: str) -> tuple[CurveConfiguration, CoverData]:
 
 def expectations(name: str) -> FixtureExpectations:
     return _lookup(name).expect
-
-
-def report_inputs(name: str) -> tuple[dict[str, int], tuple[int, ...] | None, tuple[str, ...]]:
-    """A fixture's deformation report inputs: frozen values, h2 bounds, notes."""
-    entry = _lookup(name)
-    return entry.report, entry.h2_bounds, entry.notes
 
 
 def verify_surface(label: str, cover: CoverData) -> Certificate:

@@ -43,9 +43,9 @@ MAX_COEFFICIENT = 10**100
 # of 64 coefficients near 10**100 each, took 0.32-0.41 s for `verify --file`
 # (0.35-0.58 s with `--emit json`) and 27-31 MB peak RSS: best of 5 whole
 # processes, Python 3.11.7 on a 2-vCPU VM. `enumerate --filtered` pairs each
-# class with each nodal curve: 128 copies of one nodal class on the
-# degree-one lattice took 3.6 s at self-intersection 1, against 0.43 s for
-# the six of the dp1 fixture.
+# class with each distinct nodal class: 128 copies of one nodal class on the
+# degree-one lattice took 0.22-0.33 s at self-intersection 1, as the six of
+# the dp1 fixture do (0.22-0.30 s); pairing every copy took 2.1-2.3 s.
 MAX_BASIS_NAMES = 64
 MAX_CURVES = 128
 

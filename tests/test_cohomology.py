@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from bidouble import fixtures
 from bidouble.cohomology import (
     CohomologyError,
     chi_branch_restrictions,
@@ -10,7 +11,7 @@ from bidouble.cohomology import (
 )
 from bidouble.covers import compute_invariants
 from bidouble.curves import CurveConfiguration, NamedCurve
-from bidouble.fixtures import FixtureError, fixture, report_inputs
+from bidouble.fixtures import FixtureError, fixture
 from bidouble.lattice import SurfaceLattice
 
 
@@ -131,14 +132,18 @@ def test_h2_bounds_total():
     assert "total 7" in rows["report/h2-bounds"].description
 
 
+def entry_with(name, **changes):
+    """The fixture's entry with some fields replaced."""
+    entry = fixtures._lookup(name)
+    return type(entry)(**{**{field: getattr(entry, field) for field in entry._fields}, **changes})
+
+
 def test_report_rows_follow_the_fixture_entry(monkeypatch):
     # the h1 rows come from the inputs an entry carries, not from its name
     from bidouble import cohomology
 
-    expected, _, _ = report_inputs("inoue")
-    with_h1 = dict(expected, **{"report/h1-inv": 4})
-    monkeypatch.setattr(cohomology, "report_inputs",
-                        lambda name: (with_h1, (1, 1, 1, 1), ("a note",)))
+    with_h1 = entry_with("inoue", h1=(4, (1, 1, 1, 1)), notes=("a note",))
+    monkeypatch.setattr(cohomology, "_lookup", lambda name: with_h1)
     cert = deformation_certificate("inoue")
     rows = {r.row_id: r for r in cert.rows}
     assert cert.overall == "pass"
@@ -149,10 +154,23 @@ def test_report_rows_follow_the_fixture_entry(monkeypatch):
     assert rows["report/note-2"].description.startswith("the balance value")
 
     # the log sum's expected value is the sum of the frozen parts, so it follows them
-    wrong = dict(expected, **{"report/chi-twist": 0})
-    monkeypatch.setattr(cohomology, "report_inputs", lambda name: (wrong, None, ()))
+    wrong = entry_with("inoue", chi_twist=0)
+    monkeypatch.setattr(cohomology, "_lookup", lambda name: wrong)
     cert = deformation_certificate("inoue")
     assert [r.row_id for r in cert.failures()] == ["report/chi-twist", "report/chi-log"]
+
+
+def test_report_without_an_h1_analysis_drops_only_the_h1_rows(monkeypatch):
+    from bidouble import cohomology
+
+    h1_rows = {"report/h1-inv", "report/h0-h2-vanishing", "report/h2-bounds", "report/h-totals"}
+    full = deformation_certificate("dp1")
+    assert h1_rows <= {r.row_id for r in full.rows}
+    monkeypatch.setattr(cohomology, "_lookup", lambda name: entry_with("dp1", h1=None))
+    # the same rows, notes numbered as before, less the four h1 rows
+    assert deformation_certificate("dp1").rows == tuple(
+        r for r in full.rows if r.row_id not in h1_rows
+    )
 
 
 def test_deformation_certificates():

@@ -111,14 +111,31 @@ def test_dp1_polarization_shape():
     assert inv.d.coeffs == expected.coeffs
 
 
+def expectations_with(name, **changes):
+    """The fixture's expectations with some fields replaced."""
+    expect = expectations(name)
+    fields = {field: getattr(expect, field) for field in FixtureExpectations._fields}
+    return FixtureExpectations(**{**fields, **changes})
+
+
 def test_polarization_curve_is_a_name_the_expectations_use():
     # D = -2K_W + C for a C the file lacks: one fixture/names row, not an error
     _, cover = fixture("dp1")
-    dp1 = expectations("dp1")
-    fields = {name: getattr(dp1, name) for name in FixtureExpectations._fields}
-    expect = FixtureExpectations(**{**fields, "d_shape": (-2, "Gamma'")})
+    expect = expectations_with("dp1", d_shape=(-2, "Gamma'"))
     cert = run_verification(cover, expect, "fixture verification: dp1")
     assert [(r.row_id, r.computed) for r in cert.failures()] == [("fixture/names", ["Gamma'"])]
+
+
+def test_swap_names_are_names_the_expectations_use():
+    # a swap map naming a basis vector the file lacks, or a row naming a
+    # missing curve: one fixture/names row, not an error
+    _, cover = fixture("inoue")
+    mapping, pairs = expectations("inoue").swap
+    for swap, missing in ((({**mapping, "E9": "E3"}, pairs), ["E9"]),
+                          ((mapping, pairs + (("Z9", "Z"),)), ["Z9"])):
+        cert = run_verification(cover, expectations_with("inoue", swap=swap),
+                                "fixture verification: inoue")
+        assert [(r.row_id, r.computed) for r in cert.failures()] == [("fixture/names", missing)]
 
 
 def test_verification_refuses_broken_building_data():
@@ -203,7 +220,11 @@ def test_verification_without_expectations_records_values():
 
 
 def test_swap_rows_present_for_inoue():
-    cert = verify_surface("inoue", fixture("inoue")[1])
+    cover = fixture("inoue")[1]
+    cert = verify_surface("inoue", cover)
     swap_rows = [r for r in cert.rows if r.row_id.startswith("swap/")]
     assert len(swap_rows) == 10
     assert all(r.status == "pass" for r in swap_rows)
+    # without a swap, the same certificate less its swap rows
+    bare = run_verification(cover, expectations_with("inoue", swap=None), cert.title)
+    assert bare.rows == tuple(r for r in cert.rows if not r.row_id.startswith("swap/"))

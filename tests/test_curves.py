@@ -156,6 +156,23 @@ def test_filter_monotone_in_the_nodal_set():
     assert [c.coeffs for c in unconstrained] == [c.coeffs for c in pool]
 
 
+def test_filter_tests_a_repeated_nodal_class_once(monkeypatch):
+    # a nodal class under extra names filters exactly as its one copy does,
+    # in the same order, and costs no extra pairing
+    from bidouble import curves
+
+    config, _ = fixture("inoue")
+    copies = tuple(NamedCurve(f"Z1{tag}", config.cls("Z1"), "nodal") for tag in "abc")
+    repeated = CurveConfiguration(config.lattice, config.curves + copies)
+    pool = enumerate_classes(config.lattice, -1) + enumerate_classes(config.lattice, -2)
+    pairings = []
+    monkeypatch.setattr(curves, "intersect", lambda a, b: pairings.append(1) or a.dot(b))
+    once = [c.coeffs for c in filter_effective_against_nodal(pool, config)]
+    single = len(pairings)
+    assert [c.coeffs for c in filter_effective_against_nodal(pool, repeated)] == once
+    assert len(pairings) == 2 * single
+
+
 def test_configuration_role_validation():
     lat = make(2)
     with pytest.raises(ConfigurationError):
@@ -196,7 +213,7 @@ def test_intersection_table_checks():
     # dp1's expectations with only this table: no fiber, dot or swap rows
     dp1 = expectations("dp1")
     expect = FixtureExpectations(case=dp1.case, d_shape=dp1.d_shape, dims=dp1.dims, table=table,
-                                 fibers=(), d_dot={}, m_dot={}, swap_basis=None, swap_rows=())
+                                 fibers=(), d_dot={}, m_dot={}, swap=None)
     cert = run_verification(cover, expect, "table: dp1")
     rows = {r.row_id: r for r in cert.rows if r.row_id.startswith("table/")}
     # sorted key order, not the order the table was written in

@@ -194,7 +194,7 @@ def test_keyword_construction_equals_positional(record):
 def test_hash_is_the_hash_of_the_fields_of_every_class(record):
     try:
         expected = hash(_values(record))
-    except TypeError:  # a dict field: FixtureExpectations, _Fixture
+    except TypeError:  # a dict field: FixtureExpectations, and _Fixture through it
         with pytest.raises(TypeError):
             hash(record)
     else:
