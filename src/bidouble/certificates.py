@@ -31,6 +31,7 @@ only when both are the same JSON: ``true`` is not ``1``.
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._record import Record
@@ -113,6 +114,8 @@ def _refusal(value) -> TypeError:
 
 _EXACT_INT = frozenset((int,))
 _EXACT_STR = frozenset((str,))
+_EXACT_DICT = frozenset((dict,))
+_SEQUENCES = frozenset((list, tuple))
 _COMPACT = ("", ", ", "")
 
 
@@ -124,6 +127,18 @@ class _Writer:
     heads, separator and key, in front of each. The many dicts of one
     certificate that share their keys are then neither sorted nor quoted
     again. The cache lives as long as the writer, which is one rendering.
+
+    A table, a list of two or more exact dicts that share one key tuple of
+    exact ``str`` and hold only flat values, is written column by column:
+    each column's types are checked in one pass, and each row is one ``%``
+    template, built from the cached shape, filled with that row's values.
+    A flat value is an exact int, an exact str, or a non-empty list or
+    tuple of exact ints; a column is all ints, all strs or all sequences
+    of one length. Flatness is tested before the keys, on the first and
+    last rows and then column by column, so a list of dicts that hold
+    containers (a certificate's rows) leaves the path at once. Any other
+    list, a table that is not flat included, is written item by item, so
+    what is refused is refused as before.
     """
 
     __slots__ = ("canonical", "parts", "shapes")
@@ -183,6 +198,11 @@ class _Writer:
         if _EXACT_INT.issuperset(map(type, value)):  # no bools, which are ints too
             parts.append(f"[{first}{sep.join(map(str, value))}{close}]")
             return
+        if type(value[0]) is dict and len(value) > 1:
+            rows = self.table_rows(value, depth + 1)
+            if rows is not None:
+                parts.append(f"[{first}{sep.join(rows)}{close}]")
+                return
         head = "[" + first
         for item in value:
             parts.append(head)
@@ -223,6 +243,55 @@ class _Writer:
                 parts.append(head)
                 self.write(item, depth + 1)
         parts.append(close)
+
+    def table_rows(self, rows, depth: int):
+        """The text of each row of a table at depth, or None when rows are not a table."""
+        if not _EXACT_DICT.issuperset(map(type, rows)):
+            return None
+        # the end rows alone first, so that a list of dicts holding containers
+        # or empty lists (a certificate's rows) leaves before any column pass;
+        # this also makes the one length of a sequence column below non-zero
+        for value in chain(rows[0].values(), rows[-1].values()):
+            kind = type(value)
+            if not (kind is int or kind is str or (kind is list or kind is tuple) and value):
+                return None
+        # each column with its kind: int, str, or the length of its int sequences
+        cells = []
+        for column in zip(*map(dict.values, rows)):
+            kinds = set(map(type, column))
+            if kinds == _EXACT_INT or kinds == _EXACT_STR:
+                cells.append((kinds.pop(), column))
+            elif kinds <= _SEQUENCES:
+                lengths = set(map(len, column))
+                if (len(lengths) > 1
+                        or not _EXACT_INT.issuperset(map(type, chain.from_iterable(column)))):
+                    return None
+                cells.append((lengths.pop(), column))
+            else:
+                return None
+        keys = tuple(rows[0])
+        if (not keys or not _EXACT_STR.issuperset(map(type, chain.from_iterable(rows)))
+                or not all(map(keys.__eq__, map(tuple, rows)))):
+            return None
+        shape = self.shapes.get((keys, depth))
+        if shape is None:
+            shape = self.shapes[keys, depth] = self.shape(keys, depth)
+        heads, close, (first, sep, inner_close) = shape
+        template, args = [], []
+        for head, i in heads:
+            kind, column = cells[i]
+            template.append(head.replace("%", "%%"))  # a key may hold a %
+            if kind is int:
+                template.append("%s")
+                args.append(column)
+            elif kind is str:
+                template.append("%s")
+                args.append(map(_quote, column))
+            else:
+                template.append(f"[{first}{sep.join(['%s'] * kind)}{inner_close}]")
+                args.extend(zip(*column))
+        template.append(close)
+        return map("".join(template).__mod__, zip(*args))
 
     def shape(self, keys: tuple[str, ...], depth: int):
         """(head and value index per key in output order, closing text, inner level)."""

@@ -37,6 +37,7 @@ but only K^2 = 7 is validated against known geometry.
 from __future__ import annotations
 
 from itertools import product
+from math import isqrt
 
 from ._record import Record
 from .certificates import Certificate, check, recorded
@@ -188,7 +189,7 @@ class MRejection(Record):
 
 
 def _l_of(k: Triple, m: Triple) -> Triple:
-    return tuple((k[i] + 4 - m[i]) // 2 for i in range(3))  # type: ignore[return-value]
+    return ((k[0] + 4 - m[0]) // 2, (k[1] + 4 - m[1]) // 2, (k[2] + 4 - m[2]) // 2)
 
 
 def _m_failure(k2: int, k: Triple, m: Triple) -> tuple[str, str] | None:
@@ -262,7 +263,8 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
     floor3 = k[2] % 4  # the least m_3 on its grid
     if lo > hi or floor3 > caps[2]:
         return []
-    survivors = []
+    # survivors as (-sum m, reported m, det), so one sort puts them in order
+    found = []
     # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
     # the reporting convention (reported m_1 <= reported m_2 when the last
     # two k agree, reported m_2 >= reported m_3 when the first two do).
@@ -279,16 +281,21 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
             # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
             least = max(floor3, lo - m1 - m2, m1 if k[2] == k[0] else 0)
             most = min(caps[2], hi - m1 - m2, m2 if k[2] == k[1] else caps[2])
+            # branch_matrix_determinant, with the terms free of m_3 taken out
+            fixed, twice = m1 * m1 + m2 * m2 - 1, 2 * m1 * m2
             for m3 in range(least, most + 1, 4):
-                m = (m1, m2, m3)
-                det = branch_matrix_determinant(m)
-                if not is_perfect_square(det):
-                    continue
-                l = _l_of(k, m)
-                survivors.append(NumericalCase(
-                    k2, k, m, l, k2 - sum(l), det, _status_of(k2, k, m)
-                ))
-    return sorted(survivors, key=lambda c: (-sum(c.m), c.m_reported))
+                det = fixed + m3 * (m3 + twice)
+                if det >= 0:
+                    root = isqrt(det)
+                    if root * root == det:
+                        found.append((-(m1 + m2 + m3), m3, m2, m1, det))
+    found.sort()
+    cases = []
+    for _, m3, m2, m1, det in found:
+        m = (m1, m2, m3)
+        l = _l_of(k, m)
+        cases.append(NumericalCase(k2, k, m, l, k2 - sum(l), det, _status_of(k2, k, m)))
+    return cases
 
 
 def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:

@@ -105,6 +105,15 @@ def test_stage_one_refuses_degree_above_cap():
         classify(MAX_K2 + 1)
 
 
+def test_even_degrees_have_no_survivors():
+    # For even K^2 every k_i is even, so every domain m_i = k_i (mod 4) is
+    # even too. With m_i = 2a_i the determinant is
+    # 4(a_1^2 + a_2^2 + a_3^2) + 16a_1a_2a_3 - 1 = 3 (mod 4), and no square
+    # is 3 mod 4 (nor is -1 a square): the square test rejects every m.
+    for k2 in range(2, MAX_K2 + 1, 2):
+        assert classify(k2) == [], k2
+
+
 def test_m_survivors_per_k():
     surv = enumerate_m_triples(7, (7, 5, 5))
     assert len(surv) == 1

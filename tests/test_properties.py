@@ -171,6 +171,19 @@ def test_bounded_search_against_domain_brute_force():
     assert nonempty > TRIALS // 10
 
 
+def test_bounded_search_at_the_benchmark_degrees():
+    # the degrees the benchmark classifies, above those the two tests before
+    # this one reach: for every k stage one keeps, the survivors are one
+    # member of each k-stabiliser orbit of the domain m that pass every
+    # filter, listed larger total intersection first, then reported form
+    for k2 in (15, 21, 25):
+        for k in candidate_k_triples(k2):
+            expected = {m for m in _m_domain(k) if _m_failure(k2, k, m) is None}
+            assert_one_case_per_orbit(k2, k, expected)
+            keys = [(-sum(c.m), c.m_reported) for c in enumerate_m_triples(k2, k)]
+            assert keys == sorted(keys), (k2, k)
+
+
 def test_sign_elimination_sweep_never_square():
     # with m odd, 1 + m^2 = 2 (mod 8), so 2^l (1 + m^2) has odd 2-adic
     # valuation for even l: the sign choice it stands for never occurs
