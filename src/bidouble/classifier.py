@@ -2,16 +2,15 @@
 
 A pair of commuting involutions on a minimal surface of general type with
 p_g = 0 cuts the bicanonical space into four character subspaces and hands
-each of the three nontrivial involutions a divisorial fixed part R_i. The
-whole classification runs on a handful of integers:
-
-    k_i = K.R_i,   m_1 = R_2.R_3,  m_2 = R_1.R_3,  m_3 = R_1.R_2,
-    r_i = R_i^2 (always -1 here),  l_i = number of isolated branch nodes
-    feeding the i-th intermediate quotient.
+each of the three nontrivial involutions a divisorial fixed part R_i
+(R_i^2 = -1 here). A case is K^2, a status and six integers,
+k_i = K.R_i and m_1 = R_2.R_3, m_2 = R_1.R_3, m_3 = R_1.R_2; the rest is
+derived: the number l_i = (k_i + 4 - m_i) / 2 of isolated branch nodes
+feeding the i-th intermediate quotient, K_Sigma^2 = K^2 - sum l and det A.
 
 Stage one enumerates the k-triples allowed by character dimensions and by
 the degree of the bicanonical map. Stage two considers only the m-triples
-whose nodal counts l_i = (k_i + 4 - m_i) / 2 are even and nonnegative, so
+whose nodal counts l_i are even and nonnegative, so
 m_i = k_i mod 4, ..., k_i + 4 in steps of 4, against a chain of exact tests
 (signature bounds, a determinant that unimodularity forces to be a perfect
 square and nonnegativity of an adjoint square, which implies the genus
@@ -263,7 +262,7 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
     floor3 = k[2] % 4  # the least m_3 on its grid
     if lo > hi or floor3 > caps[2]:
         return []
-    # survivors as (-sum m, reported m, det), so one sort puts them in order
+    # survivors as (-sum m, reported m), so one sort puts them in order
     found = []
     # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
     # the reporting convention (reported m_1 <= reported m_2 when the last
@@ -288,14 +287,10 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
                 if det >= 0:
                     root = isqrt(det)
                     if root * root == det:
-                        found.append((-(m1 + m2 + m3), m3, m2, m1, det))
+                        found.append((-(m1 + m2 + m3), m3, m2, m1))
     found.sort()
-    cases = []
-    for _, m3, m2, m1, det in found:
-        m = (m1, m2, m3)
-        l = _l_of(k, m)
-        cases.append(NumericalCase(k2, k, m, l, k2 - sum(l), det, _status_of(k2, k, m)))
-    return cases
+    return [NumericalCase(k2, k, (m1, m2, m3), _status_of(k2, k, (m1, m2, m3)))
+            for _, m3, m2, m1 in found]
 
 
 def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:
@@ -315,7 +310,7 @@ def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], 
 
 
 class NumericalCase(Record):
-    """One consistent set of involution-pair invariants.
+    """One case: K^2, k, m and a status; l, K_Sigma^2 and det A are derived.
 
     m is stored as (R_2.R_3, R_1.R_3, R_1.R_2); the reported order used in
     tables reverses it to (R_1.R_2, R_1.R_3, R_2.R_3).
@@ -324,52 +319,57 @@ class NumericalCase(Record):
     k2: int
     k: Triple
     m: Triple
-    l: Triple
-    k_sigma_sq: int
-    det_a: int
     status: str
 
     def __post_init__(self) -> None:
         if self.status not in STATUSES:
             raise ClassifierError(f"unknown status {self.status!r}")
         for i in range(3):
-            if 2 * self.l[i] + self.m[i] != self.k[i] + 4:
-                raise ClassifierError(f"2l+m = k+4 violated at index {i + 1}: {self}")
-            if self.l[i] < 0:
-                raise ClassifierError(f"negative nodal count at index {i + 1}: {self}")
-        if self.k_sigma_sq != self.k2 - sum(self.l):
-            raise ClassifierError(f"base square inconsistent with nodal counts: {self}")
-        if self.det_a != branch_matrix_determinant(self.m):
-            raise ClassifierError(f"stored determinant does not match m: {self}")
+            if self.m[i] > self.k[i] + 4 or (self.k[i] - self.m[i]) % 2:
+                raise ClassifierError(f"l = (k + 4 - m) / 2 is not a nonnegative integer "
+                                      f"at index {i + 1}: {self}")
+
+    @property
+    def l(self) -> Triple:
+        return _l_of(self.k, self.m)
+
+    @property
+    def k_sigma_sq(self) -> int:
+        return self.k2 - sum(self.l)
+
+    @property
+    def det_a(self) -> int:
+        return branch_matrix_determinant(self.m)
 
     @property
     def m_reported(self) -> Triple:
         return (self.m[2], self.m[1], self.m[0])
 
     def to_json_dict(self) -> dict:
+        l = _l_of(self.k, self.m)  # derived once for both of its entries
         return {
             "K2": self.k2,
             "k": list(self.k),
             "m": list(self.m_reported),
             "r": list(R_SQUARES),
-            "l": list(self.l),
-            "KSigma2": self.k_sigma_sq,
-            "detA": self.det_a,
+            "l": list(l),
+            "KSigma2": self.k2 - sum(l),
+            "detA": branch_matrix_determinant(self.m),
             "status": self.status,
         }
 
 
-# The published K^2 = 7 classification, in table order. Its certificate,
-# `classification_certificate` below, checks the survivors against these rows,
-# so `classify --k2 7` fails loudly if the search ever drifts. Two of the
-# five survivors admit a geometric (not numeric) exclusion argument,
-# recorded in the status as an annotation only; the last case is open.
+# The published K^2 = 7 classification, in table order, one (K^2, k, m,
+# status) row per case. `classification_certificate` below checks the
+# survivors against these rows, so `classify --k2 7` fails loudly if the
+# search ever drifts. Two survivors admit a geometric (not numeric)
+# exclusion argument, an annotation in the status only; the last is open.
 K7_REFERENCE = (
-    NumericalCase(7, (7, 5, 5), (7, 9, 5), (2, 0, 2), 3, 784, "realized_inoue"),
-    NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "realized_dp1"),
-    NumericalCase(7, (5, 5, 3), (1, 5, 3), (4, 2, 2), -1, 64, "excluded_geometric"),
-    NumericalCase(7, (5, 5, 3), (1, 1, 7), (4, 4, 0), -1, 64, "excluded_geometric"),
-    NumericalCase(7, (5, 3, 1), (1, 3, 1), (4, 2, 2), -1, 16, "open"),
+    NumericalCase(7, (7, 5, 5), (7, 9, 5), "realized_inoue"),
+    NumericalCase(7, (5, 5, 3), (1, 5, 7), "realized_dp1"),
+    NumericalCase(7, (5, 5, 3), (1, 5, 3), "excluded_geometric"),
+    NumericalCase(7, (5, 5, 3), (1, 1, 7), "excluded_geometric"),
+    NumericalCase(7, (5, 3, 1), (1, 3, 1), "open"),
 )
 
 

@@ -18,9 +18,9 @@ arithmetic here stays separate from the inputs and names no fixture.
 from __future__ import annotations
 
 from .certificates import Certificate, check, recorded
-from .covers import CoverData, compute_invariants
+from .covers import CoverData, CoverError, compute_invariants
 from .curves import CurveConfiguration
-from .fixtures import _lookup, fixture
+from .fixtures import FixtureError, _lookup, fixture
 from .lattice import DivisorClass, SurfaceLattice, arithmetic_genus
 
 
@@ -79,15 +79,20 @@ def deformation_certificate(fixture_name: str) -> Certificate:
 
     Every fixture gets the characteristic and balance rows. A fixture
     whose entry carries an h1 analysis also gets the invariant h1 row and
-    the recorded inputs and bound totals that go with it.
+    the recorded inputs and bound totals that go with it. A fixture file
+    edited into a cover these formulas do not apply to (a component of
+    positive genus, an underivable root) raises ``FixtureError``.
     """
     entry = _lookup(fixture_name)
     config, cover = fixture(fixture_name)
     kw = config.lattice.canonical_class()
     chi_twist = chi_rank2_twist(config.lattice, kw)
-    chi_restr = chi_branch_restrictions(config, cover, kw)
+    try:
+        chi_restr = chi_branch_restrictions(config, cover, kw)
+        inv = compute_invariants(cover)
+    except (CohomologyError, CoverError) as exc:
+        raise FixtureError(f"fixture {fixture_name!r} cannot be reported: {exc}") from exc
     chi_log = chi_twist + chi_restr
-    inv = compute_invariants(cover)
     balance = 2 * inv.k_s_sq - 10 * inv.chi_ov
     twist, restr = entry.chi_twist, entry.chi_restrictions
     rows = [

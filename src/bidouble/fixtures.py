@@ -24,10 +24,11 @@ Gamma and E, and two branch components B_2, B_3 of higher degree.
 
 Each fixture names its row of ``classifier.K7_REFERENCE``, the one with
 status ``realized_<name>``, and the verification takes from that row
-every number it can give: k, reported m, l, K_Sigma^2 and K^2, and what
-follows from them on a surface with p_g = q = 0 (D^2, D.K_W, M^2, the
-B_i^2, K_V^2, the blowdown count, sum L_i(L_i + K_W) and chi(O), computed
-in ``covers``). The expectation tables below freeze only what
+every number it can give: the row states K^2, k and m, l and K_Sigma^2
+follow from k and m, and the rest follows from those on a surface with
+p_g = q = 0 (D^2, D.K_W, M^2, the B_i^2, K_V^2, the blowdown count,
+sum L_i(L_i + K_W) and chi(O), computed in ``covers``). The
+expectation tables below freeze only what
 the row cannot give: D, the character dimensions and the name-keyed
 intersection, fiber, dot and swap tables. D is stated by name, as
 a K_W + C for a named curve C (dp1: -2K_W + Gamma, inoue: -K_W + F1'),
@@ -70,7 +71,8 @@ _DIR = os.path.dirname(__file__)
 
 
 class FixtureError(KeyError):
-    pass
+    # printed as its message, without the quotes KeyError puts round a key
+    __str__ = Exception.__str__
 
 
 def _reference_case(name: str) -> NumericalCase:

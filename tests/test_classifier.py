@@ -223,20 +223,21 @@ def test_classify_trace_flags_validation():
 
 
 def test_numerical_case_consistency_enforced():
+    # a case stores k and m, so what it can get wrong is an m whose nodal
+    # count l_i = (k_i + 4 - m_i) / 2 is not a nonnegative integer
     good = classify(7)[0]
-    with pytest.raises(ClassifierError):
-        NumericalCase(
-            k2=good.k2, k=good.k, m=good.m, l=good.l,
-            k_sigma_sq=good.k_sigma_sq, det_a=good.det_a + 1, status=good.status,
-        )
-    with pytest.raises(ClassifierError):
-        NumericalCase(
-            k2=good.k2, k=good.k, m=good.m, l=(0, 0, 0),
-            k_sigma_sq=good.k_sigma_sq, det_a=good.det_a, status=good.status,
-        )
-    with pytest.raises(ClassifierError):
-        NumericalCase(
-            k2=good.k2, k=good.k, m=good.m, l=good.l,
-            k_sigma_sq=good.k_sigma_sq, det_a=good.det_a, status="fabulous",
-        )
 
+    def case(m, status=good.status):
+        return NumericalCase(k2=good.k2, k=good.k, m=m, status=status)
+
+    assert case(good.m) == good
+    for i in range(3):
+        def with_m_i(value):
+            return good.m[:i] + (value,) + good.m[i + 1:]
+
+        assert case(with_m_i(good.k[i] + 4)).l[i] == 0
+        for bad in (good.k[i] + 6, good.m[i] + 1):
+            with pytest.raises(ClassifierError, match=rf" at index {i + 1}: NumericalCase\("):
+                case(with_m_i(bad))
+    with pytest.raises(ClassifierError, match="^unknown status 'fabulous'$"):
+        case(good.m, "fabulous")

@@ -146,6 +146,34 @@ def test_missing_fixture_file_is_input_error(monkeypatch, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def _withhold_first_root(doc):
+    doc["cover"]["roots"][0] = None
+
+
+def _make_f2_a_cubic(doc):
+    (f2,) = [curve for curve in doc["curves"] if curve["name"] == "F2"]
+    f2["class"] = [3, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("name,edit,cause", [
+    ("dp1", _withhold_first_root, "cover has an underivable root; verify building data first"),
+    ("inoue", _make_f2_a_cubic, "component 'F2' has genus 1; formula needs 0"),
+], ids=["dp1-root-withheld", "inoue-F2-cubic"])
+def test_report_on_an_edited_fixture_file_is_input_error(monkeypatch, tmp_path, capsys,
+                                                         name, edit, cause):
+    # an edited copy of the shipped file, read in place of it
+    doc = json.loads((Path(fixtures.__file__).parent / f"{name}.json").read_text())
+    edit(doc)
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(fixtures, "_DIR", str(tmp_path))
+    code, out, err = run(capsys, "verify", "--fixture", name)
+    assert (code, err) == (1, "")
+    assert "| fail |" in out
+    code, out, err = run(capsys, "report", name)
+    assert (code, out) == (2, "")
+    assert err == f"error: fixture {name!r} cannot be reported: {cause}\n"
+
+
 def test_verify_mutated_file_fails(tmp_path, capsys):
     path = tmp_path / "inoue.json"
     run(capsys, "verify", "--fixture", "inoue", "--export", str(path))

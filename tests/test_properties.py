@@ -11,10 +11,12 @@ import random
 from itertools import permutations, product
 
 from bidouble.classifier import (
+    MAX_K2,
     _m_domain,
     _m_failure,
     branch_matrix_determinant,
     candidate_k_triples,
+    classify,
     enumerate_m_triples,
     enumerate_m_triples_trace,
 )
@@ -182,6 +184,21 @@ def test_bounded_search_at_the_benchmark_degrees():
             assert_one_case_per_orbit(k2, k, expected)
             keys = [(-sum(c.m), c.m_reported) for c in enumerate_m_triples(k2, k)]
             assert keys == sorted(keys), (k2, k)
+
+
+def test_every_case_classify_emits_is_sound():
+    # soundness at every degree the search accepts, the walk's inline
+    # determinant included: each emitted case passes every filter, has a
+    # square det A and even nonnegative nodal counts (completeness is the
+    # brute-force tests' part above)
+    count = 0
+    for k2 in range(1, MAX_K2 + 1):
+        for case in classify(k2):
+            assert _m_failure(k2, case.k, case.m) is None, case
+            assert is_perfect_square(branch_matrix_determinant(case.m)), case
+            assert all(x >= 0 and x % 2 == 0 for x in case.l), case
+            count += 1
+    assert count == 29993
 
 
 def test_sign_elimination_sweep_never_square():

@@ -25,13 +25,16 @@ def lattice() -> SurfaceLattice:
 def test_construction_by_position_keyword_and_default():
     lat = lattice()
     assert DivisorClass(lat, (3, -1, 0)) == DivisorClass(coeffs=(3, -1, 0), lattice=lat)
-    case = NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "realized_dp1")
+    case = NumericalCase(7, (5, 5, 3), (1, 5, 7), "realized_dp1")
     assert case == K7_REFERENCE[1]
-    assert len(NumericalCase._fields) == 7
-    # R_i^2 = -1 is a constant of the classifier, not a field with a default
-    with pytest.raises(TypeError, match=r"^NumericalCase\(\) got an unexpected keyword "
-                                        r"argument 'r'$"):
-        NumericalCase(7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "open", r=(1, 2, 3))
+    assert case == NumericalCase(status="realized_dp1", m=(1, 5, 7), k=(5, 5, 3), k2=7)
+    assert NumericalCase._fields == ("k2", "k", "m", "status")
+    # R_i^2 = -1 is a constant of the classifier, not a field with a default,
+    # and l, K_Sigma^2 and det A are derived from k and m, not passed in
+    for name, value in (("r", (1, 2, 3)), ("l", (4, 2, 0)), ("k_sigma_sq", 1), ("det_a", 144)):
+        with pytest.raises(TypeError, match=r"^NumericalCase\(\) got an unexpected keyword "
+                                            rf"argument '{name}'$"):
+            NumericalCase(7, (5, 5, 3), (1, 5, 7), "open", **{name: value})
     with pytest.raises(TypeError, match=r"^DivisorClass\(\) missing argument 'coeffs'$"):
         DivisorClass(lat)
     with pytest.raises(TypeError, match=r"^DivisorClass\(\) takes 2 arguments \(lattice, "
@@ -40,21 +43,18 @@ def test_construction_by_position_keyword_and_default():
 
 
 def test_post_init_validates_and_normalises():
-    # dp1's row, broken so that each check in turn is the first to fail, with its text
+    # dp1's row with a bad status, then a bad m_3 (wrong parity, k_3 + 6) and m_1, with its text
     for args, message in (
-        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 144, "bogus"), "unknown status 'bogus'"),
-        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 1), 1, 144, "open"),
-         "2l+m = k+4 violated at index 3: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 7), "
-         "l=(4, 2, 1), k_sigma_sq=1, det_a=144, status='open')"),
-        ((7, (5, 5, 3), (1, 5, 9), (4, 2, -1), 2, 196, "open"),
-         "negative nodal count at index 3: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 9), "
-         "l=(4, 2, -1), k_sigma_sq=2, det_a=196, status='open')"),
-        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 2, 144, "open"),
-         "base square inconsistent with nodal counts: NumericalCase(k2=7, k=(5, 5, 3), "
-         "m=(1, 5, 7), l=(4, 2, 0), k_sigma_sq=2, det_a=144, status='open')"),
-        ((7, (5, 5, 3), (1, 5, 7), (4, 2, 0), 1, 145, "open"),
-         "stored determinant does not match m: NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 7), "
-         "l=(4, 2, 0), k_sigma_sq=1, det_a=145, status='open')"),
+        ((7, (5, 5, 3), (1, 5, 7), "bogus"), "unknown status 'bogus'"),
+        ((7, (5, 5, 3), (1, 5, 6), "open"),
+         "l = (k + 4 - m) / 2 is not a nonnegative integer at index 3: "
+         "NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 6), status='open')"),
+        ((7, (5, 5, 3), (1, 5, 9), "open"),
+         "l = (k + 4 - m) / 2 is not a nonnegative integer at index 3: "
+         "NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 9), status='open')"),
+        ((7, (5, 5, 3), (2, 5, 7), "open"),
+         "l = (k + 4 - m) / 2 is not a nonnegative integer at index 1: "
+         "NumericalCase(k2=7, k=(5, 5, 3), m=(2, 5, 7), status='open')"),
     ):
         with pytest.raises(ClassifierError) as exc:
             NumericalCase(*args)
@@ -88,7 +88,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(lat) == hash(("t", ("E1", "E2")))
     assert hash(DivisorClass(lat, (3, -1, 0))) == hash((lat, (3, -1, 0)))
     case = K7_REFERENCE[0]
-    assert hash(case) == hash((7, (7, 5, 5), (7, 9, 5), (2, 0, 2), 3, 784, "realized_inoue"))
+    assert hash(case) == hash((7, (7, 5, 5), (7, 9, 5), "realized_inoue"))
     assert len({DivisorClass(lat, (1, 0, 0)), lat.line(), lat.zero()}) == 2
     with pytest.raises(TypeError):
         hash(CheckRow("a/b", "desc", "ref", [1], [1], "pass"))  # a list field
