@@ -19,24 +19,21 @@ from __future__ import annotations
 
 from .certificates import Certificate, check, recorded
 from .covers import CoverData, CoverError, compute_invariants
-from .curves import CurveConfiguration
 from .fixtures import FixtureError, _lookup, fixture
-from .lattice import DivisorClass, SurfaceLattice, arithmetic_genus
+from .lattice import DivisorClass, arithmetic_genus
 
 
 class CohomologyError(ValueError):
     pass
 
 
-def chi_rank2_twist(surface: SurfaceLattice, d: DivisorClass) -> int:
-    """chi of the cotangent sheaf twisted by O(d), by Riemann-Roch.
+def chi_rank2_twist(d: DivisorClass) -> int:
+    """chi of the cotangent sheaf of d's surface twisted by O(d), by Riemann-Roch.
 
     With c1 = K + 2d and c2 = (12 - K^2) + K.d + d^2 this is
     2 + c1(c1 - K)/2 - c2; the half is exact since c1(c1-K) = 2d(K+2d).
     """
-    if d.lattice != surface:
-        raise CohomologyError("twist class lives on a different lattice")
-    k = surface.canonical_class()
+    k = d.lattice.canonical_class()
     c1 = k + 2 * d
     c2 = (12 - k.dot(k)) + k.dot(d) + d.dot(d)
     paired = c1.dot(c1 - k)
@@ -44,8 +41,8 @@ def chi_rank2_twist(surface: SurfaceLattice, d: DivisorClass) -> int:
     return 2 + paired // 2 - c2
 
 
-def chi_branch_restrictions(config: CurveConfiguration, cover: CoverData, d: DivisorClass) -> int:
-    """Sum of (d.Y + 1) over all branch-list components Y.
+def chi_branch_restrictions(cover: CoverData, d: DivisorClass) -> int:
+    """Sum of (d.Y + 1) over the branch-list components Y, read from ``cover.config``.
 
     This is chi of O_Y(d) summed over the components, valid because each
     component is a smooth rational curve; a component of positive genus
@@ -55,7 +52,7 @@ def chi_branch_restrictions(config: CurveConfiguration, cover: CoverData, d: Div
     total = 0
     for names in cover.delta:
         for name in names:
-            y = config.cls(name)
+            y = cover.config.cls(name)
             if arithmetic_genus(y) != 0:
                 raise CohomologyError(
                     f"component {name!r} has genus {arithmetic_genus(y)}; formula needs 0"
@@ -86,9 +83,9 @@ def deformation_certificate(fixture_name: str) -> Certificate:
     entry = _lookup(fixture_name)
     config, cover = fixture(fixture_name)
     kw = config.lattice.canonical_class()
-    chi_twist = chi_rank2_twist(config.lattice, kw)
+    chi_twist = chi_rank2_twist(kw)
     try:
-        chi_restr = chi_branch_restrictions(config, cover, kw)
+        chi_restr = chi_branch_restrictions(cover, kw)
         inv = compute_invariants(cover)
     except (CohomologyError, CoverError) as exc:
         raise FixtureError(f"fixture {fixture_name!r} cannot be reported: {exc}") from exc

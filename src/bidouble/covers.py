@@ -23,7 +23,7 @@ from . import classifier
 from ._record import Record
 from .certificates import Certificate, CheckRow, check, recorded
 from .curves import CurveConfiguration, FiberDecomposition, verify_fiber_decomposition
-from .lattice import DivisorClass, SurfaceLattice, format_class, halve
+from .lattice import DivisorClass, format_class, halve
 
 
 class CoverError(ValueError):
@@ -70,10 +70,6 @@ class CoverData(Record):
         for root in self.roots:
             if root is not None and root.lattice != self.config.lattice:
                 raise CoverError("root class lives on a different lattice")
-
-    @property
-    def surface(self) -> SurfaceLattice:
-        return self.config.lattice
 
     def delta_class(self, i: int) -> DivisorClass:
         return _class_sum(self.config, self.delta[i])
@@ -210,21 +206,58 @@ def building_data_rows(cover: CoverData) -> list[CheckRow]:
 
 
 class CoverInvariants(Record):
+    """The seven numbers ``compute_invariants`` measures on W; eight more derive from them.
+
+    Measured: d = D = 2K_W + B_1 + B_2 + B_3, db = (D.B_i), bb = (B_1B_2,
+    B_1B_3, B_2B_3), b_sq = (B_i^2), the nodal counts l, k_v_sq = K_V^2 =
+    (2K_W + Delta_1 + Delta_2 + Delta_3)^2 and sum_llk = sum L_i(L_i + K_W).
+    Derived: m = K_W + D, d_sq = D^2, d_kw = D.K_W, m_sq = M^2, blowdown =
+    2(l_1 + l_2 + l_3), k_s_sq = k_v_sq + blowdown, chi_ov = 4 + sum_llk / 2
+    and dims = eigenspace_dims(k_s_sq, db), or None where that raises.
+    """
+
     d: DivisorClass
-    m: DivisorClass
-    d_sq: int
-    d_kw: int
-    m_sq: int
     db: tuple[int, int, int]
     bb: tuple[int, int, int]
     b_sq: tuple[int, int, int]
     l: tuple[int, int, int]
     k_v_sq: int
-    blowdown: int
-    k_s_sq: int
     sum_llk: int
-    chi_ov: int
-    dims: tuple[int, int, int, int] | None
+
+    @property
+    def m(self) -> DivisorClass:
+        return self.d.lattice.canonical_class() + self.d
+
+    @property
+    def d_sq(self) -> int:
+        return self.d.dot(self.d)
+
+    @property
+    def d_kw(self) -> int:
+        return self.d.dot(self.d.lattice.canonical_class())
+
+    @property
+    def m_sq(self) -> int:
+        return self.m.dot(self.m)
+
+    @property
+    def blowdown(self) -> int:
+        return 2 * sum(self.l)
+
+    @property
+    def k_s_sq(self) -> int:
+        return self.k_v_sq + self.blowdown
+
+    @property
+    def chi_ov(self) -> int:
+        return 4 + self.sum_llk // 2
+
+    @property
+    def dims(self) -> tuple[int, int, int, int] | None:
+        try:
+            return classifier.eigenspace_dims(self.k_s_sq, self.db)
+        except classifier.ClassifierError:
+            return None
 
     def to_json_dict(self) -> dict:
         return {
@@ -247,48 +280,18 @@ class CoverInvariants(Record):
 
 
 def compute_invariants(cover: CoverData) -> CoverInvariants:
-    """All derived numbers of the cover; assumes nothing beyond name validity."""
-    w = cover.surface
-    kw = w.canonical_class()
+    """The measured invariants of the cover; ``CoverError`` if a root L_i is None."""
+    kw = cover.config.lattice.canonical_class()
     b = [cover.branch_class(i) for i in range(3)]
     d = 2 * kw + b[0] + b[1] + b[2]
-    m = kw + d
-    db = tuple(d.dot(bi) for bi in b)
+    upstairs = 2 * kw + cover.delta_class(0) + cover.delta_class(1) + cover.delta_class(2)
+    if None in cover.roots:
+        raise CoverError("cover has an underivable root; verify building data first")
+    sum_llk = sum(root.dot(root + kw) for root in cover.roots)
     bb = (b[0].dot(b[1]), b[0].dot(b[2]), b[1].dot(b[2]))  # (B1B2, B1B3, B2B3)
-    b_sq = tuple(bi.dot(bi) for bi in b)
-    l = cover.l()
-    total_delta = cover.delta_class(0) + cover.delta_class(1) + cover.delta_class(2)
-    canonical_upstairs = 2 * kw + total_delta
-    k_v_sq = canonical_upstairs.dot(canonical_upstairs)
-    blowdown = 2 * sum(l)
-    k_s_sq = k_v_sq + blowdown
-    sum_llk = 0
-    for root in cover.roots:
-        if root is None:
-            raise CoverError("cover has an underivable root; verify building data first")
-        sum_llk += root.dot(root + kw)
-    chi_ov = 4 + sum_llk // 2
-    try:
-        dims = classifier.eigenspace_dims(k_s_sq, db)  # type: ignore[arg-type]
-    except classifier.ClassifierError:
-        dims = None
-    return CoverInvariants(
-        d=d,
-        m=m,
-        d_sq=d.dot(d),
-        d_kw=d.dot(kw),
-        m_sq=m.dot(m),
-        db=db,  # type: ignore[arg-type]
-        bb=bb,
-        b_sq=b_sq,  # type: ignore[arg-type]
-        l=l,
-        k_v_sq=k_v_sq,
-        blowdown=blowdown,
-        k_s_sq=k_s_sq,
-        sum_llk=sum_llk,
-        chi_ov=chi_ov,
-        dims=dims,
-    )
+    return CoverInvariants(d, tuple(d.dot(bi) for bi in b), bb,  # type: ignore[arg-type]
+                           tuple(bi.dot(bi) for bi in b), cover.l(),  # type: ignore[arg-type]
+                           upstairs.dot(upstairs), sum_llk)
 
 
 # ---------------------------------------------------------------------------

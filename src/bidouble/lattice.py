@@ -17,6 +17,8 @@ from math import isqrt
 
 from ._record import Record
 
+_INT_ONLY = frozenset((int,))
+
 
 class LatticeError(ValueError):
     """Domain error: malformed lattice data or mixed-lattice arithmetic."""
@@ -68,12 +70,19 @@ class SurfaceLattice(Record):
     # -- class constructors -------------------------------------------------
 
     def divisor(self, coeffs: list[int] | tuple[int, ...]) -> DivisorClass:
-        """Class with the given coefficient vector (degree first)."""
-        vec = tuple(int(c) for c in coeffs)
+        """Class with the given coefficient vector (degree first) of exact ints.
+
+        A float, str, bool or any other non-``int`` entry raises
+        ``LatticeError`` instead of being rounded or converted.
+        """
+        vec = tuple(coeffs)
         if len(vec) != self.rank:
             raise LatticeError(
                 f"expected {self.rank} coefficients for lattice {self.label!r}, got {len(vec)}"
             )
+        if not _INT_ONLY.issuperset(map(type, vec)):
+            bad = next(c for c in vec if type(c) is not int)
+            raise LatticeError(f"coefficient {bad!r} for lattice {self.label!r} is not an int")
         return DivisorClass(self, vec)
 
     def zero(self) -> DivisorClass:
@@ -133,7 +142,7 @@ class DivisorClass(Record):
         return DivisorClass(self.lattice, tuple(-a for a in self.coeffs))
 
     def __mul__(self, scalar: int) -> DivisorClass:
-        if not isinstance(scalar, int):
+        if type(scalar) is not int:  # an exact int: a bool is no scalar
             return NotImplemented
         return DivisorClass(self.lattice, tuple(scalar * a for a in self.coeffs))
 

@@ -12,37 +12,38 @@ from bidouble.cohomology import (
 from bidouble.covers import compute_invariants
 from bidouble.curves import CurveConfiguration, NamedCurve
 from bidouble.fixtures import FixtureError, fixture
-from bidouble.lattice import SurfaceLattice
+from bidouble.lattice import LatticeError, SurfaceLattice
 
 
 def test_chi_rank2_twist_values():
     for name, zero_val, kw_val in (("dp1", -9, -8), ("inoue", -7, -4)):
         config, _ = fixture(name)
         lat = config.lattice
-        assert chi_rank2_twist(lat, lat.zero()) == zero_val
-        assert chi_rank2_twist(lat, lat.canonical_class()) == kw_val
+        assert chi_rank2_twist(lat.zero()) == zero_val
+        assert chi_rank2_twist(lat.canonical_class()) == kw_val
 
 
 def test_chi_rank2_twist_zero_class_on_every_lattice():
     for n in range(0, 9):
         lat = SurfaceLattice(f"z{n}", tuple(f"E{i}" for i in range(1, n + 1)))
-        assert chi_rank2_twist(lat, lat.zero()) == lat.k_squared() - 10
-
-
-def test_chi_rank2_twist_rejects_foreign_class():
-    config, _ = fixture("dp1")
-    other = SurfaceLattice("other", ("E1",))
-    with pytest.raises(CohomologyError):
-        chi_rank2_twist(config.lattice, other.line())
+        assert chi_rank2_twist(lat.zero()) == lat.k_squared() - 10
 
 
 def test_chi_branch_restrictions():
     config, cover = fixture("dp1")
     kw = config.lattice.canonical_class()
-    assert chi_branch_restrictions(config, cover, kw) == 5
+    assert chi_branch_restrictions(cover, kw) == 5
     config, cover = fixture("inoue")
     kw = config.lattice.canonical_class()
-    assert chi_branch_restrictions(config, cover, kw) == 0
+    assert chi_branch_restrictions(cover, kw) == 0
+
+
+def test_chi_branch_restrictions_refuses_a_twist_off_the_cover_lattice():
+    # the curve classes come from cover.config, so d must live on its lattice
+    _, cover = fixture("dp1")
+    inoue_kw = fixture("inoue")[0].lattice.canonical_class()
+    with pytest.raises(LatticeError, match="different lattices"):
+        chi_branch_restrictions(cover, inoue_kw)
 
 
 def test_chi_branch_restrictions_additive_over_partitions():
@@ -50,18 +51,15 @@ def test_chi_branch_restrictions_additive_over_partitions():
 
     config, cover = fixture("dp1")
     d = config.lattice.canonical_class()
-    total = chi_branch_restrictions(config, cover, d)
-    # split each branch list at an arbitrary point; the totals must add up
+    total = chi_branch_restrictions(cover, d)
+    # split each branch list at an arbitrary point, on the fixture's own
+    # configuration; the totals must add up
     for cut in range(3):
         first = tuple(names[:cut] for names in cover.delta)
         second = tuple(names[cut:] for names in cover.delta)
         a = CoverData(config, first, (None, None, None))
         b = CoverData(config, second, (None, None, None))
-        assert (
-            chi_branch_restrictions(config, a, d)
-            + chi_branch_restrictions(config, b, d)
-            == total
-        )
+        assert chi_branch_restrictions(a, d) + chi_branch_restrictions(b, d) == total
 
 
 def test_chi_branch_restrictions_requires_rational_components():
@@ -73,7 +71,7 @@ def test_chi_branch_restrictions_requires_rational_components():
 
     cover = CoverData(config, (("Cub",), (), ()), (None, None, None))
     with pytest.raises(CohomologyError):
-        chi_branch_restrictions(config, cover, lat.canonical_class())
+        chi_branch_restrictions(cover, lat.canonical_class())
 
 
 def report_values(name):

@@ -4,6 +4,7 @@ import pytest
 
 from bidouble.covers import (
     CoverError,
+    CoverInvariants,
     FixtureExpectations,
     building_data_rows,
     compute_invariants,
@@ -212,11 +213,57 @@ def test_full_verification_certificates():
                 "table", "fiber", "invariant", "pencil", "case", "axiom"} <= families
 
 
+# every invariant, in the order the invariant/values row prints them; the
+# values are the ones stated above, and M = K_W + D by hand
+BARE_VALUES = {
+    "dp1": {
+        "D": [7, -3, -2, -2, -2, -2, -2, -2, -3], "M": [4, -2, -1, -1, -1, -1, -1, -1, -2],
+        "D2": 7, "DKW": -3, "M2": 2, "DB": [5, 5, 3], "BB": [7, 5, 1], "B2": [-1, -1, -1],
+        "l": [4, 2, 0], "KV2": -5, "blowdown": 12, "KS2": 7, "sumLLK": -6, "chiOV": 1,
+        "dims": [6, 1, 1, 0],
+    },
+    "inoue": {
+        "D": [5, -1, -2, -2, -1, -2, -2], "M": [2, 0, -1, -1, 0, -1, -1],
+        "D2": 7, "DKW": -5, "M2": 0, "DB": [7, 5, 5], "BB": [5, 9, 7], "B2": [-1, -1, -1],
+        "l": [2, 0, 2], "KV2": -1, "blowdown": 8, "KS2": 7, "sumLLK": -6, "chiOV": 1,
+        "dims": [7, 1, 0, 0],
+    },
+}
+BARE_CELLS = {
+    "dp1": '{"D": [7, -3, -2, -2, -2, -2, -2, -2, -3], "M": [4, -2, -1, -1, -1, -1, -1, -1, -2], '
+           '"D2": 7, "DKW": -3, "M2": 2, "DB": [5, 5, 3], "BB": [7, 5, 1], "B2": [-1, -1, -1], '
+           '"l": [4, 2, 0], "KV2": -5, "blowdown": 12, "KS2": 7, "sumLLK": -6, "chiOV": 1, '
+           '"dims": [6, 1, 1, 0]}',
+    "inoue": '{"D": [5, -1, -2, -2, -1, -2, -2], "M": [2, 0, -1, -1, 0, -1, -1], '
+             '"D2": 7, "DKW": -5, "M2": 0, "DB": [7, 5, 5], "BB": [5, 9, 7], "B2": [-1, -1, -1], '
+             '"l": [2, 0, 2], "KV2": -1, "blowdown": 8, "KS2": 7, "sumLLK": -6, "chiOV": 1, '
+             '"dims": [7, 1, 0, 0]}',
+}
+
+
 def test_verification_without_expectations_records_values():
-    _, cover = fixture("dp1")
-    cert = run_verification(cover, None, "bare run: dp1")
-    assert cert.overall == "pass"
-    assert any(r.row_id == "invariant/values" and r.status == "recorded" for r in cert.rows)
+    for name in ("dp1", "inoue"):
+        _, cover = fixture(name)
+        cert = run_verification(cover, None, f"bare run: {name}")
+        assert cert.overall == "pass"
+        (row,) = [r for r in cert.rows if r.row_id == "invariant/values"]
+        assert row.status == "recorded"
+        assert row.computed == BARE_VALUES[name]
+        assert list(row.computed) == list(BARE_VALUES[name])
+        line = (f"| invariant/values | computed invariants of the cover | intersection number "
+                f"| {BARE_CELLS[name]} |  | recorded |")
+        assert line in cert.to_markdown().splitlines()
+
+
+@pytest.mark.parametrize("name", ["m", "d_sq", "d_kw", "m_sq", "blowdown", "k_s_sq",
+                                  "chi_ov", "dims"])
+def test_cover_invariants_take_no_derived_value(name):
+    inv = compute_invariants(fixture("dp1")[1])
+    assert CoverInvariants._fields == ("d", "db", "bb", "b_sq", "l", "k_v_sq", "sum_llk")
+    values = [getattr(inv, field) for field in CoverInvariants._fields]
+    with pytest.raises(TypeError, match=r"^CoverInvariants\(\) got an unexpected keyword "
+                                        rf"argument '{name}'$"):
+        CoverInvariants(*values, **{name: getattr(inv, name)})
 
 
 def test_swap_rows_present_for_inoue():

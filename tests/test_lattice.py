@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -69,6 +70,31 @@ def test_divisor_construction_and_lookup():
     assert lat.exceptional("E2").coeffs == (0, 0, 1, 0)
     with pytest.raises(LatticeError):
         lat.exceptional("E7")
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, "3", True, False, None])
+def test_divisor_takes_exact_ints_only(bad):
+    # no entry is rounded or converted: the first one that is not an int is named
+    lat = SurfaceLattice("x", ("E1", "E2"))
+    with pytest.raises(LatticeError, match=rf"^coefficient {re.escape(repr(bad))} for "
+                                           r"lattice 'x' is not an int$"):
+        lat.divisor([1, 0, bad])
+    with pytest.raises(LatticeError, match=rf"^coefficient {re.escape(repr(bad))} "):
+        lat.divisor((bad, 0.5, "x"))
+
+
+def test_divisor_accepts_big_ints_and_scales_by_ints_only():
+    lat = SurfaceLattice("x", ("E1", "E2"))
+    big = 10**100
+    d = lat.divisor([big, -big, 0])
+    assert d.coeffs == (big, -big, 0)
+    assert d.dot(d) == 0
+    assert (2 * d).coeffs == (2 * big, -2 * big, 0)
+    for scalar in (True, False, 2.0):
+        with pytest.raises(TypeError):
+            d * scalar
+        with pytest.raises(TypeError):
+            scalar * d
 
 
 def test_canonical_class():
