@@ -3,10 +3,10 @@
 A pair of commuting involutions on a minimal surface of general type with
 p_g = 0 cuts the bicanonical space into four character subspaces and hands
 each of the three nontrivial involutions a divisorial fixed part R_i
-(R_i^2 = -1 here). A case is K^2, a status and six integers,
-k_i = K.R_i and m_1 = R_2.R_3, m_2 = R_1.R_3, m_3 = R_1.R_2; the rest is
-derived: the number l_i = (k_i + 4 - m_i) / 2 of isolated branch nodes
-feeding the i-th intermediate quotient, K_Sigma^2 = K^2 - sum l and det A.
+(R_i^2 = -1 here). A case is K^2 and six integers, k_i = K.R_i and
+m_1 = R_2.R_3, m_2 = R_1.R_3, m_3 = R_1.R_2; the rest is derived: the
+number l_i = (k_i + 4 - m_i) / 2 of isolated branch nodes feeding the i-th
+intermediate quotient, K_Sigma^2 = K^2 - sum l, det A and the status.
 
 Stage one enumerates the k-triples allowed by character dimensions and by
 the degree of the bicanonical map. Stage two considers only the m-triples
@@ -25,8 +25,8 @@ directly. The traced variants walk the whole domain instead and report,
 for each rejected candidate, the first test it fails in filter order;
 that walk is also the oracle the bounded search is tested against.
 
-``classification_certificate`` checks the survivors against
-``K7_REFERENCE``, the published K^2 = 7 table, which also sets their status.
+``classification_certificate`` checks the survivors against ``K7_REFERENCE``,
+the published K^2 = 7 table and the one place a status is written.
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -41,14 +41,6 @@ from math import isqrt
 from ._record import Record
 from .certificates import Certificate, check, recorded
 from .lattice import index_bound_holds, is_perfect_square
-
-STATUSES = (
-    "realized_inoue",
-    "realized_dp1",
-    "excluded_numeric",
-    "excluded_geometric",
-    "open",
-)
 
 class ClassifierError(ValueError):
     pass
@@ -289,8 +281,7 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
                     if root * root == det:
                         found.append((-(m1 + m2 + m3), m3, m2, m1))
     found.sort()
-    return [NumericalCase(k2, k, (m1, m2, m3), _status_of(k2, k, (m1, m2, m3)))
-            for _, m3, m2, m1 in found]
+    return [NumericalCase(k2, k, (m1, m2, m3)) for _, m3, m2, m1 in found]
 
 
 def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:
@@ -310,20 +301,18 @@ def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], 
 
 
 class NumericalCase(Record):
-    """One case: K^2, k, m and a status; l, K_Sigma^2 and det A are derived.
+    """One case: K^2, k and m; l, K_Sigma^2, det A and the status are derived.
 
     m is stored as (R_2.R_3, R_1.R_3, R_1.R_2); the reported order used in
-    tables reverses it to (R_1.R_2, R_1.R_3, R_2.R_3).
+    tables reverses it to (R_1.R_2, R_1.R_3, R_2.R_3). The status is the
+    case's entry in ``K7_REFERENCE``, or "open" for a case it does not name.
     """
 
     k2: int
     k: Triple
     m: Triple
-    status: str
 
     def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ClassifierError(f"unknown status {self.status!r}")
         for i in range(3):
             if self.m[i] > self.k[i] + 4 or (self.k[i] - self.m[i]) % 2:
                 raise ClassifierError(f"l = (k + 4 - m) / 2 is not a nonnegative integer "
@@ -345,6 +334,10 @@ class NumericalCase(Record):
     def m_reported(self) -> Triple:
         return (self.m[2], self.m[1], self.m[0])
 
+    @property
+    def status(self) -> str:
+        return K7_REFERENCE.get((self.k, self.m) if self.k2 == 7 else None, "open")
+
     def to_json_dict(self) -> dict:
         l = _l_of(self.k, self.m)  # derived once for both of its entries
         return {
@@ -359,32 +352,24 @@ class NumericalCase(Record):
         }
 
 
-# The published K^2 = 7 classification, in table order, one (K^2, k, m,
-# status) row per case. `classification_certificate` below checks the
-# survivors against these rows, so `classify --k2 7` fails loudly if the
-# search ever drifts. Two survivors admit a geometric (not numeric)
+# The published K^2 = 7 classification, in table order, from (k, m) (m in
+# stored order) to the status that `NumericalCase.status` reads. Checked by
+# `classification_certificate` below, so `classify --k2 7` fails loudly if
+# the search ever drifts. Two survivors admit a geometric (not numeric)
 # exclusion argument, an annotation in the status only; the last is open.
-K7_REFERENCE = (
-    NumericalCase(7, (7, 5, 5), (7, 9, 5), "realized_inoue"),
-    NumericalCase(7, (5, 5, 3), (1, 5, 7), "realized_dp1"),
-    NumericalCase(7, (5, 5, 3), (1, 5, 3), "excluded_geometric"),
-    NumericalCase(7, (5, 5, 3), (1, 1, 7), "excluded_geometric"),
-    NumericalCase(7, (5, 3, 1), (1, 3, 1), "open"),
-)
+K7_REFERENCE = {
+    ((7, 5, 5), (7, 9, 5)): "realized_inoue",
+    ((5, 5, 3), (1, 5, 7)): "realized_dp1",
+    ((5, 5, 3), (1, 5, 3)): "excluded_geometric",
+    ((5, 5, 3), (1, 1, 7)): "excluded_geometric",
+    ((5, 3, 1), (1, 3, 1)): "open",
+}
 
 
 class ClassificationOutcome(Record):
     cases: tuple[NumericalCase, ...]
     k_rejections: tuple[KRejection, ...]
     m_rejections: tuple[MRejection, ...]
-
-
-def _status_of(k2: int, k: Triple, m: Triple) -> str:
-    if k2 == 7:
-        for case in K7_REFERENCE:
-            if case.k == k and case.m == m:
-                return case.status
-    return "open"
 
 
 def classify(k2: int) -> list[NumericalCase]:
@@ -402,14 +387,14 @@ def classification_certificate(k2: int) -> Certificate:
                   "classification table", len(cases), len(K7_REFERENCE))
         )
         by_key = {(case.k, case.m): case.to_json_dict() for case in cases}
-        for ref in K7_REFERENCE:
+        for key in K7_REFERENCE:
+            ref = NumericalCase(7, *key)
             kk = ".".join(str(v) for v in ref.k)
             mm = ".".join(str(v) for v in ref.m_reported)
             rows.append(
                 check(f"table/{kk}-{mm}",
                       f"case k=({kk}) m=({mm}) matches the reference row",
-                      "classification table", by_key.pop((ref.k, ref.m), None),
-                      ref.to_json_dict())
+                      "classification table", by_key.pop(key, None), ref.to_json_dict())
             )
         for i, extra in enumerate(by_key.values(), start=1):
             rows.append(

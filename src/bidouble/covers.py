@@ -19,6 +19,8 @@ certificate rows so a mutated input produces a readable diff.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import classifier
 from ._record import Record
 from .certificates import Certificate, CheckRow, check, recorded
@@ -135,8 +137,8 @@ def _congruence_row(row_id: str, description: str, ref: str, left, right) -> Che
 
 def building_data_rows(cover: CoverData) -> list[CheckRow]:
     rows: list[CheckRow] = []
-    all_names = [n for names in cover.delta for n in names]
-    duplicates = sorted({n for n in all_names if all_names.count(n) > 1})
+    counts = Counter(n for names in cover.delta for n in names)
+    duplicates = sorted(n for n, count in counts.items() if count > 1)
     rows.append(
         check(
             "building/distinct-names",

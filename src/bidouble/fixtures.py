@@ -24,7 +24,7 @@ Gamma and E, and two branch components B_2, B_3 of higher degree.
 
 Each fixture names its row of ``classifier.K7_REFERENCE``, the one with
 status ``realized_<name>``, and the verification takes from that row
-every number it can give: the row states K^2, k and m, l and K_Sigma^2
+every number it can give: the row states k and m at K^2 = 7, l and K_Sigma^2
 follow from k and m, and the rest follows from those on a surface with
 p_g = q = 0 (D^2, D.K_W, M^2, the B_i^2, K_V^2, the blowdown count,
 sum L_i(L_i + K_W) and chi(O), computed in ``covers``). The
@@ -77,7 +77,8 @@ class FixtureError(KeyError):
 
 def _reference_case(name: str) -> NumericalCase:
     """The fixture's row of the K^2 = 7 classification table."""
-    return next(case for case in K7_REFERENCE if case.status == f"realized_{name}")
+    key = next(key for key, status in K7_REFERENCE.items() if status == f"realized_{name}")
+    return NumericalCase(7, *key)
 
 
 # ---------------------------------------------------------------------------

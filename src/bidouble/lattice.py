@@ -73,17 +73,10 @@ class SurfaceLattice(Record):
         """Class with the given coefficient vector (degree first) of exact ints.
 
         A float, str, bool or any other non-``int`` entry raises
-        ``LatticeError`` instead of being rounded or converted.
+        ``LatticeError`` (from ``DivisorClass``) instead of being rounded or
+        converted.
         """
-        vec = tuple(coeffs)
-        if len(vec) != self.rank:
-            raise LatticeError(
-                f"expected {self.rank} coefficients for lattice {self.label!r}, got {len(vec)}"
-            )
-        if not _INT_ONLY.issuperset(map(type, vec)):
-            bad = next(c for c in vec if type(c) is not int)
-            raise LatticeError(f"coefficient {bad!r} for lattice {self.label!r} is not an int")
-        return DivisorClass(self, vec)
+        return DivisorClass(self, tuple(coeffs))
 
     def zero(self) -> DivisorClass:
         return DivisorClass(self, (0,) * self.rank)
@@ -106,8 +99,28 @@ class SurfaceLattice(Record):
 
 
 class DivisorClass(Record):
+    """A class on ``lattice``: ``coeffs`` is a tuple of ``rank`` exact ints, degree first.
+
+    Anything else raises ``LatticeError``: a list, a vector of another
+    length (which would pair through a truncated ``zip``), or a float, bool
+    or other non-``int`` entry (which would pair to a float).
+    """
+
     lattice: SurfaceLattice
     coeffs: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        vec, lattice = self.coeffs, self.lattice
+        if type(vec) is not tuple:
+            raise LatticeError(f"coefficients for lattice {lattice.label!r} must be a tuple, "
+                               f"not {type(vec).__name__}")
+        if len(vec) != lattice.rank:
+            raise LatticeError(
+                f"expected {lattice.rank} coefficients for lattice {lattice.label!r}, got {len(vec)}"
+            )
+        if not _INT_ONLY.issuperset(map(type, vec)):
+            bad = next(c for c in vec if type(c) is not int)
+            raise LatticeError(f"coefficient {bad!r} for lattice {lattice.label!r} is not an int")
 
     @property
     def degree(self) -> int:

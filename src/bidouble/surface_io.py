@@ -67,9 +67,20 @@ def _check_name(name: str, what: str) -> None:
 
 
 class SurfaceFile(Record):
+    """A labelled curve configuration and, optionally, one cover of it.
+
+    A cover of another configuration raises ``SurfaceFileError``: its
+    branch lists and roots would be written beside curves they do not name.
+    """
+
     label: str
     config: CurveConfiguration
     cover: CoverData | None
+
+    def __post_init__(self) -> None:
+        if self.cover is not None and self.cover.config != self.config:
+            raise SurfaceFileError(f"the cover of surface {self.label!r} is a cover of "
+                                   "another curve configuration")
 
 
 def _int_vector(value, rank: int, what: str) -> tuple[int, ...]:

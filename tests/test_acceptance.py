@@ -8,6 +8,7 @@ budgets, which use a monotonic clock.
 
 from __future__ import annotations
 
+import json
 import time
 
 from bidouble.classifier import (
@@ -21,12 +22,16 @@ from bidouble.cohomology import deformation_certificate
 from bidouble.curves import enumerate_classes, filter_effective_against_nodal
 from bidouble.fixtures import fixture, verify_surface
 from bidouble.lattice import SurfaceLattice, is_perfect_square
+from bidouble.surface_io import SurfaceFile, surface_to_dict
 
 import test_properties
 
 CLASSIFY_BUDGET_S = 1.0
 VERIFY_BUDGET_S = 1.0
 ENUMERATE_BUDGET_S = 5.0
+# a ~120 KB file naming one branch curve 20,000 times, on which a count of
+# repeated names that is quadratic in their number takes ~10 s
+REPEATED_NAMES_BUDGET_S = 2.0
 
 
 def rows_by_id(cert):
@@ -175,3 +180,19 @@ def test_c8_property_suites():
     test_properties.test_filter_is_pointwise_idempotent_and_order_preserving()
     test_properties.test_any_single_delta_edit_is_detected()
     test_properties.test_any_single_root_edit_is_detected()
+
+
+def test_repeated_branch_names_verify_in_bounded_time(tmp_path, capsys):
+    doc = surface_to_dict(SurfaceFile("big", *fixture("dp1")))
+    del doc["cover"]["roots"]
+    doc["cover"]["delta"][0] += ["Fb"] * 20_000
+    path = tmp_path / "surface.json"
+    path.write_text(json.dumps(doc))
+    start = time.monotonic()
+    code = main(["verify", "--file", str(path)])
+    elapsed = time.monotonic() - start
+    out = capsys.readouterr().out
+    assert code == 1
+    assert ("| building/distinct-names | branch component names are pairwise distinct "
+            "across the three lists | branch components | [\"Fb\"] | [] | fail |") in out
+    assert elapsed < REPEATED_NAMES_BUDGET_S

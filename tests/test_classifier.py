@@ -227,8 +227,8 @@ def test_numerical_case_consistency_enforced():
     # count l_i = (k_i + 4 - m_i) / 2 is not a nonnegative integer
     good = classify(7)[0]
 
-    def case(m, status=good.status):
-        return NumericalCase(k2=good.k2, k=good.k, m=m, status=status)
+    def case(m):
+        return NumericalCase(k2=good.k2, k=good.k, m=m)
 
     assert case(good.m) == good
     for i in range(3):
@@ -239,5 +239,11 @@ def test_numerical_case_consistency_enforced():
         for bad in (good.k[i] + 6, good.m[i] + 1):
             with pytest.raises(ClassifierError, match=rf" at index {i + 1}: NumericalCase\("):
                 case(with_m_i(bad))
-    with pytest.raises(ClassifierError, match="^unknown status 'fabulous'$"):
-        case(good.m, "fabulous")
+
+
+def test_status_is_read_from_the_k7_table():
+    # the table names five cases at K^2 = 7; every other case reads "open",
+    # a valid one at K^2 = 7 that the table lacks and a table pair at K^2 = 8
+    assert NumericalCase(7, (5, 5, 3), (1, 5, 7)).status == "realized_dp1"
+    assert NumericalCase(7, (5, 5, 3), (1, 1, 3)).status == "open"
+    assert NumericalCase(8, (5, 5, 3), (1, 5, 7)).status == "open"

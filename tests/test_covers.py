@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from bidouble.covers import (
+    CoverData,
     CoverError,
     CoverInvariants,
     FixtureExpectations,
@@ -27,6 +28,15 @@ def test_building_data_passes_for_fixtures():
             assert f"building/halvable-{i}" in ids
         assert "building/closure" in ids
         assert "building/distinct-names" in ids
+
+
+def test_repeated_branch_names_are_reported_sorted_and_once():
+    config, cover = fixture("dp1")
+    first, second, third = cover.delta
+    delta = (first + ("Gamma", "C1"), second, third + ("Fb", "Fb"))
+    rows = building_data_rows(CoverData(config, delta, (None, None, None)))
+    row = next(r for r in rows if r.row_id == "building/distinct-names")
+    assert (row.computed, row.status) == (["C1", "Fb", "Gamma"], "fail")
 
 
 def test_derived_roots_satisfy_defining_congruences():

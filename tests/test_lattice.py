@@ -83,6 +83,21 @@ def test_divisor_takes_exact_ints_only(bad):
         lat.divisor((bad, 0.5, "x"))
 
 
+def test_divisor_class_checks_its_own_coefficients():
+    # the constructor, not only ``SurfaceLattice.divisor``, refuses a float
+    # (which would square to a float), a short vector (which would pair
+    # through a truncated zip) and a list, with divisor's messages
+    lat = SurfaceLattice("x", ("E1", "E2"))
+    with pytest.raises(LatticeError, match=r"^coefficient 1\.9 for lattice 'x' is not an int$"):
+        DivisorClass(lat, (1.9, 0.5, 0))
+    with pytest.raises(LatticeError, match=r"^expected 3 coefficients for lattice 'x', got 1$"):
+        DivisorClass(lat, (1,))
+    with pytest.raises(LatticeError, match=r"^coefficients for lattice 'x' must be a tuple, "
+                                           r"not list$"):
+        DivisorClass(lat, [1, 0, 0])
+    assert DivisorClass(lat, (1, 0, 0)) == lat.line()
+
+
 def test_divisor_accepts_big_ints_and_scales_by_ints_only():
     lat = SurfaceLattice("x", ("E1", "E2"))
     big = 10**100

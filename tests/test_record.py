@@ -11,7 +11,7 @@ import pytest
 from bidouble import cli, fixtures  # noqa: F401  (cli loads every module, so every record class)
 from bidouble._record import Record
 from bidouble.certificates import CheckRow, canonical_json, check
-from bidouble.classifier import K7_REFERENCE, ClassifierError, NumericalCase, classify_with_trace
+from bidouble.classifier import ClassifierError, NumericalCase, classify_with_trace
 from bidouble.covers import compute_invariants
 from bidouble.fixtures import expectations, fixture, verify_surface
 from bidouble.lattice import DivisorClass, SurfaceLattice
@@ -25,16 +25,18 @@ def lattice() -> SurfaceLattice:
 def test_construction_by_position_keyword_and_default():
     lat = lattice()
     assert DivisorClass(lat, (3, -1, 0)) == DivisorClass(coeffs=(3, -1, 0), lattice=lat)
-    case = NumericalCase(7, (5, 5, 3), (1, 5, 7), "realized_dp1")
-    assert case == K7_REFERENCE[1]
-    assert case == NumericalCase(status="realized_dp1", m=(1, 5, 7), k=(5, 5, 3), k2=7)
-    assert NumericalCase._fields == ("k2", "k", "m", "status")
+    case = NumericalCase(7, (5, 5, 3), (1, 5, 7))
+    assert case == fixtures.expectations("dp1").case
+    assert case == NumericalCase(m=(1, 5, 7), k=(5, 5, 3), k2=7)
+    assert NumericalCase._fields == ("k2", "k", "m")
     # R_i^2 = -1 is a constant of the classifier, not a field with a default,
-    # and l, K_Sigma^2 and det A are derived from k and m, not passed in
-    for name, value in (("r", (1, 2, 3)), ("l", (4, 2, 0)), ("k_sigma_sq", 1), ("det_a", 144)):
+    # l, K_Sigma^2 and det A are derived from k and m, not passed in, and the
+    # status is read from the K^2 = 7 table
+    for name, value in (("r", (1, 2, 3)), ("l", (4, 2, 0)), ("k_sigma_sq", 1), ("det_a", 144),
+                        ("status", "realized_dp1")):
         with pytest.raises(TypeError, match=r"^NumericalCase\(\) got an unexpected keyword "
                                             rf"argument '{name}'$"):
-            NumericalCase(7, (5, 5, 3), (1, 5, 7), "open", **{name: value})
+            NumericalCase(7, (5, 5, 3), (1, 5, 7), **{name: value})
     with pytest.raises(TypeError, match=r"^DivisorClass\(\) missing argument 'coeffs'$"):
         DivisorClass(lat)
     with pytest.raises(TypeError, match=r"^DivisorClass\(\) takes 2 arguments \(lattice, "
@@ -43,18 +45,17 @@ def test_construction_by_position_keyword_and_default():
 
 
 def test_post_init_validates_and_normalises():
-    # dp1's row with a bad status, then a bad m_3 (wrong parity, k_3 + 6) and m_1, with its text
+    # dp1's row with a bad m_3 (wrong parity, k_3 + 6) and m_1, with its text
     for args, message in (
-        ((7, (5, 5, 3), (1, 5, 7), "bogus"), "unknown status 'bogus'"),
-        ((7, (5, 5, 3), (1, 5, 6), "open"),
+        ((7, (5, 5, 3), (1, 5, 6)),
          "l = (k + 4 - m) / 2 is not a nonnegative integer at index 3: "
-         "NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 6), status='open')"),
-        ((7, (5, 5, 3), (1, 5, 9), "open"),
+         "NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 6))"),
+        ((7, (5, 5, 3), (1, 5, 9)),
          "l = (k + 4 - m) / 2 is not a nonnegative integer at index 3: "
-         "NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 9), status='open')"),
-        ((7, (5, 5, 3), (2, 5, 7), "open"),
+         "NumericalCase(k2=7, k=(5, 5, 3), m=(1, 5, 9))"),
+        ((7, (5, 5, 3), (2, 5, 7)),
          "l = (k + 4 - m) / 2 is not a nonnegative integer at index 1: "
-         "NumericalCase(k2=7, k=(5, 5, 3), m=(2, 5, 7), status='open')"),
+         "NumericalCase(k2=7, k=(5, 5, 3), m=(2, 5, 7))"),
     ):
         with pytest.raises(ClassifierError) as exc:
             NumericalCase(*args)
@@ -87,8 +88,8 @@ def test_hash_is_the_hash_of_the_field_tuple():
     lat = lattice()
     assert hash(lat) == hash(("t", ("E1", "E2")))
     assert hash(DivisorClass(lat, (3, -1, 0))) == hash((lat, (3, -1, 0)))
-    case = K7_REFERENCE[0]
-    assert hash(case) == hash((7, (7, 5, 5), (7, 9, 5), "realized_inoue"))
+    case = NumericalCase(7, (7, 5, 5), (7, 9, 5))
+    assert hash(case) == hash((7, (7, 5, 5), (7, 9, 5)))
     assert len({DivisorClass(lat, (1, 0, 0)), lat.line(), lat.zero()}) == 2
     with pytest.raises(TypeError):
         hash(CheckRow("a/b", "desc", "ref", [1], [1], "pass"))  # a list field
@@ -108,7 +109,7 @@ def test_repr_names_every_field():
 
 @pytest.mark.parametrize("record", [
     DivisorClass(lattice(), (3, -1, 0)),
-    K7_REFERENCE[1],
+    NumericalCase(7, (5, 5, 3), (1, 5, 7)),
     CheckRow("a/b", "desc", "ref", 1, 1, "pass"),
 ], ids=["DivisorClass", "NumericalCase", "CheckRow"])
 def test_records_refuse_assignment_and_deletion(record):
@@ -160,7 +161,7 @@ def _one_of_each() -> list[Record]:
     surface = surface_from_dict(surface_to_dict(SurfaceFile("dp1", config, cover)))
     return [
         config.lattice, config.lattice.line(), config.curves[0], config, cover,
-        compute_invariants(cover), expect, expect.fibers[0], K7_REFERENCE[1], outcome,
+        compute_invariants(cover), expect, expect.fibers[0], expect.case, outcome,
         outcome.k_rejections[0], outcome.m_rejections[0], certificate, certificate.rows[0],
         surface, fixtures._FIXTURES["dp1"],
     ]

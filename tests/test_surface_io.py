@@ -62,6 +62,20 @@ def test_saved_file_is_the_stdlib_canonical_encoding(tmp_path, name):
     assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def test_a_cover_of_another_configuration_is_refused():
+    # its branch lists would be saved beside curves they do not name, and
+    # the file would then be refused on load
+    dp1_config, _ = fixture("dp1")
+    _, inoue_cover = fixture("inoue")
+    with pytest.raises(SurfaceFileError, match=r"^the cover of surface 'mixed' is a cover of "
+                                               r"another curve configuration$"):
+        SurfaceFile("mixed", dp1_config, inoue_cover)
+    # a relabelled copy is one surface, and so is a configuration alone
+    for label in ("mine", "big"):
+        assert SurfaceFile(label, *fixture("dp1")).label == label
+    assert SurfaceFile("mixed", dp1_config, None).cover is None
+
+
 def test_inoue_roots_derived_on_load():
     config, cover = fixture("inoue")
     doc = surface_to_dict(SurfaceFile("inoue", config, cover))
