@@ -18,15 +18,21 @@ bound). Everything is integer arithmetic.
 
 All tests but the determinant are linear bounds on m_i or on
 m_1 + m_2 + m_3, so the search solves them once per k and walks only the
-m inside those bounds, testing the determinant alone there. Index
-permutations fixing k only relabel a case, so the walk also visits just
-one m per orbit of them: one case per k-stabiliser orbit, walked
-directly. The traced variants walk the whole domain instead and report,
-for each rejected candidate, the first test it fails in filter order;
-that walk is also the oracle the bounded search is tested against.
+m inside those bounds, testing the determinant alone there; a k whose
+bound on m_1 + m_2 + m_3 lies below the least sum on the grid is skipped
+before its caps are computed. Index permutations fixing k only relabel a
+case, so the walk also visits just one m per orbit of them. That one
+walk, ``_survivors``, yields (k, m, det A) per surviving orbit; the
+traced variants walk the whole domain instead and report, for each
+rejected candidate, the first test it fails in filter order; that walk
+is also the oracle the bounded search is tested against.
 
-``classification_certificate`` checks the survivors against ``K7_REFERENCE``,
-the published K^2 = 7 table and the one place a status is written.
+``enumerate_m_triples`` and ``classify`` build a ``NumericalCase`` per
+survivor. ``classification_certificate`` builds none: it writes each
+survivor's row from the walk's (k, m, det A) with ``_case_row``, the one
+writer of a case's row (``NumericalCase.to_json_dict`` calls it too), and
+checks the rows against ``K7_REFERENCE``, the published K^2 = 7 table and
+the one place a status is written.
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -35,6 +41,7 @@ but only K^2 = 7 is validated against known geometry.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import product
 from math import isqrt
 
@@ -218,70 +225,75 @@ def _m_domain(k: Triple) -> list[Triple]:
     return list(product(*(range(k[i] % 4, k[i] + 5, 4) for i in range(3))))
 
 
-def _m_bounds(k2: int, k: Triple) -> tuple[Triple, int, int]:
-    """The linear filters of ``_m_failure`` solved for m, once per k.
+def _survivors(k2: int, ks) -> Iterator[tuple[Triple, Triple, int]]:
+    """(k, m, det A) of each surviving case whose k is in ``ks``, in table order.
 
-    Returns (cap on each m_i, least and greatest m_1 + m_2 + m_3). With
-    s = sum k and dk = (K^2 - s) // 2, and sum l = (s + 12 - sum m) / 2:
+    k in the order of ``ks``, then larger total intersection first, then
+    reported m ascending; one m per k-stabiliser orbit. The linear filters
+    of ``_m_failure`` are solved for m once per k. With s = sum k,
+    dk = (K^2 - s) // 2 and sum l = (s + 12 - sum m) / 2:
     pairwise index bound  m_i <= 1 + (k_j + k_k)^2 // 2K^2;
     triple index bound    sum m <= (s^2 + 3K^2) // 2K^2;
     base index bound      K_Sigma^2 = K^2 - sum l <= dk^2 // K^2;
     adjoint square        K_Sigma^2 + 2dk + K^2 >= 0.
+    Only the m inside those bounds are visited, and each is tested for a
+    square determinant.
     """
     if k2 < 1:
         raise ClassifierError("positive K^2 required")
-    s = sum(k)
-    dk = (k2 - s) // 2
-    caps = tuple(
-        min(k[i] + 4, 1 + (k[(i + 1) % 3] + k[(i + 2) % 3]) ** 2 // (2 * k2))
-        for i in range(3)
-    )
-    hi = min((s * s + 3 * k2) // (2 * k2), 2 * (dk * dk // k2) - 2 * k2 + s + 12)
-    lo = s + 12 - 4 * k2 - 4 * dk
-    return caps, lo, hi  # type: ignore[return-value]
+    for k in ks:
+        ka, kb, kc = k
+        s = ka + kb + kc
+        dk = (k2 - s) // 2
+        hi = min((s * s + 3 * k2) // (2 * k2), 2 * (dk * dk // k2) - 2 * k2 + s + 12)
+        floor3 = kc % 4  # the least m_3 on its grid
+        if hi < ka % 4 + kb % 4 + floor3:  # below the least sum on the grid
+            continue
+        lo = s + 12 - 4 * k2 - 4 * dk
+        cap1 = min(ka + 4, 1 + (kb + kc) ** 2 // (2 * k2))
+        cap2 = min(kb + 4, 1 + (ka + kc) ** 2 // (2 * k2))
+        cap3 = min(kc + 4, 1 + (ka + kb) ** 2 // (2 * k2))
+        if lo > hi or floor3 > cap3:
+            continue
+        # survivors as (-sum m, reported m, det), so one sort puts them in order
+        found = []
+        # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
+        # the reporting convention (reported m_1 <= reported m_2 when the last
+        # two k agree, reported m_2 >= reported m_3 when the first two do).
+        # Equal k share a residue mod 4, so the tightened starts stay on the grid.
+        for m1 in range(ka % 4, cap1 + 1, 4):
+            # Only the m_2 whose m_3 range below is not empty, from least <= most:
+            # lo - m1 - m2 <= cap3, and <= m2 when k_3 = k_2, bound m_2 below;
+            # floor3 <= hi - m1 - m2, and m1 <= hi - m1 - m2 when k_3 = k_1, above.
+            # Every other pair of ends holds for all m_2 once the tests above passed.
+            start = m1 if kb == ka else kb % 4
+            least_m2 = max(lo - m1 - cap3, (lo - m1 + 1) // 2 if kc == kb else start)
+            most_m2 = min(cap2, hi - m1 - floor3, hi - 2 * m1 if kc == ka else cap2)
+            for m2 in range(max(start, least_m2 + (start - least_m2) % 4), most_m2 + 1, 4):
+                # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
+                least = max(floor3, lo - m1 - m2, m1 if kc == ka else 0)
+                most = min(cap3, hi - m1 - m2, m2 if kc == kb else cap3)
+                # branch_matrix_determinant, with the terms free of m_3 taken out
+                fixed, twice = m1 * m1 + m2 * m2 - 1, 2 * m1 * m2
+                for m3 in range(least, most + 1, 4):
+                    det = fixed + m3 * (m3 + twice)
+                    if det >= 0:
+                        root = isqrt(det)
+                        if root * root == det:
+                            found.append((-(m1 + m2 + m3), m3, m2, m1, det))
+        found.sort()
+        for _, m3, m2, m1, det in found:
+            yield k, (m1, m2, m3), det
 
 
 def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
     """Surviving cases for one k, one per k-stabiliser orbit, deterministically ordered.
 
-    Only the m inside the bounds of ``_m_bounds`` are visited, and each is
-    tested for a square determinant. Triples related by an index
-    permutation fixing k are the same case, so the walk visits only one
-    member of each orbit. Order: larger total intersection first, then
-    reported form ascending.
+    Triples related by an index permutation fixing k are the same case, so
+    the walk visits only one member of each orbit. Order: larger total
+    intersection first, then reported form ascending.
     """
-    caps, lo, hi = _m_bounds(k2, k)
-    floor3 = k[2] % 4  # the least m_3 on its grid
-    if lo > hi or floor3 > caps[2]:
-        return []
-    # survivors as (-sum m, reported m), so one sort puts them in order
-    found = []
-    # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
-    # the reporting convention (reported m_1 <= reported m_2 when the last
-    # two k agree, reported m_2 >= reported m_3 when the first two do).
-    # Equal k share a residue mod 4, so the tightened starts stay on the grid.
-    for m1 in range(k[0] % 4, caps[0] + 1, 4):
-        # Only the m_2 whose m_3 range below is not empty, from least <= most:
-        # lo - m1 - m2 <= caps[2], and <= m2 when k_3 = k_2, bound m_2 below;
-        # floor3 <= hi - m1 - m2, and m1 <= hi - m1 - m2 when k_3 = k_1, above.
-        # Every other pair of ends holds for all m_2 once the test above passed.
-        start = m1 if k[1] == k[0] else k[1] % 4
-        least_m2 = max(lo - m1 - caps[2], (lo - m1 + 1) // 2 if k[2] == k[1] else start)
-        most_m2 = min(caps[1], hi - m1 - floor3, hi - 2 * m1 if k[2] == k[0] else caps[1])
-        for m2 in range(max(start, least_m2 + (start - least_m2) % 4), most_m2 + 1, 4):
-            # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
-            least = max(floor3, lo - m1 - m2, m1 if k[2] == k[0] else 0)
-            most = min(caps[2], hi - m1 - m2, m2 if k[2] == k[1] else caps[2])
-            # branch_matrix_determinant, with the terms free of m_3 taken out
-            fixed, twice = m1 * m1 + m2 * m2 - 1, 2 * m1 * m2
-            for m3 in range(least, most + 1, 4):
-                det = fixed + m3 * (m3 + twice)
-                if det >= 0:
-                    root = isqrt(det)
-                    if root * root == det:
-                        found.append((-(m1 + m2 + m3), m3, m2, m1))
-    found.sort()
-    return [NumericalCase(k2, k, (m1, m2, m3)) for _, m3, m2, m1 in found]
+    return [NumericalCase(k2, k, m) for _, m, _ in _survivors(k2, (k,))]
 
 
 def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:
@@ -336,20 +348,34 @@ class NumericalCase(Record):
 
     @property
     def status(self) -> str:
-        return K7_REFERENCE.get((self.k, self.m) if self.k2 == 7 else None, "open")
+        return _status(self.k2, self.k, self.m)
 
     def to_json_dict(self) -> dict:
-        l = _l_of(self.k, self.m)  # derived once for both of its entries
-        return {
-            "K2": self.k2,
-            "k": list(self.k),
-            "m": list(self.m_reported),
-            "r": list(R_SQUARES),
-            "l": list(l),
-            "KSigma2": self.k2 - sum(l),
-            "detA": branch_matrix_determinant(self.m),
-            "status": self.status,
-        }
+        return _case_row(self.k2, self.k, self.m, self.det_a)
+
+
+def _status(k2: int, k: Triple, m: Triple) -> str:
+    return K7_REFERENCE.get((k, m), "open") if k2 == 7 else "open"
+
+
+def _case_row(k2: int, k: Triple, m: Triple, det: int) -> dict:
+    """A case as a certificate value, given its det A.
+
+    The one writer of a case's shape: the certificate's survivor rows and
+    ``NumericalCase.to_json_dict`` both come from here. Key order is the
+    order of the markdown cell.
+    """
+    l = _l_of(k, m)  # derived once for both of its entries
+    return {
+        "K2": k2,
+        "k": list(k),
+        "m": [m[2], m[1], m[0]],
+        "r": list(R_SQUARES),
+        "l": list(l),
+        "KSigma2": k2 - sum(l),
+        "detA": det,
+        "status": _status(k2, k, m),
+    }
 
 
 # The published K^2 = 7 classification, in table order, from (k, m) (m in
@@ -374,27 +400,30 @@ class ClassificationOutcome(Record):
 
 def classify(k2: int) -> list[NumericalCase]:
     """All surviving cases, in table order (k descending, then stage-two order)."""
-    return [case for k in candidate_k_triples(k2) for case in enumerate_m_triples(k2, k)]
+    return [NumericalCase(k2, k, m) for k, m, _ in _survivors(k2, candidate_k_triples(k2))]
 
 
 def classification_certificate(k2: int) -> Certificate:
-    """Certificate comparing classify(k2) against the built-in table."""
-    cases = classify(k2)
-    rows = []
+    """Certificate comparing the survivors at k2 against the built-in table.
+
+    Each survivor's row comes straight from the stage-two walk, with the
+    det A the walk computed; no ``NumericalCase`` is built.
+    """
+    survivors = _survivors(k2, candidate_k_triples(k2))
     if k2 == 7:
-        rows.append(
+        by_key = {(k, m): _case_row(k2, k, m, det) for k, m, det in survivors}
+        rows = [
             check("table/count", "number of surviving numerical cases",
-                  "classification table", len(cases), len(K7_REFERENCE))
-        )
-        by_key = {(case.k, case.m): case.to_json_dict() for case in cases}
-        for key in K7_REFERENCE:
-            ref = NumericalCase(7, *key)
-            kk = ".".join(str(v) for v in ref.k)
-            mm = ".".join(str(v) for v in ref.m_reported)
+                  "classification table", len(by_key), len(K7_REFERENCE))
+        ]
+        for k, m in K7_REFERENCE:
+            kk = ".".join(map(str, k))
+            mm = ".".join(map(str, reversed(m)))
             rows.append(
                 check(f"table/{kk}-{mm}",
                       f"case k=({kk}) m=({mm}) matches the reference row",
-                      "classification table", by_key.pop(key, None), ref.to_json_dict())
+                      "classification table", by_key.pop((k, m), None),
+                      _case_row(7, k, m, branch_matrix_determinant(m)))
             )
         for i, extra in enumerate(by_key.values(), start=1):
             rows.append(
@@ -403,16 +432,15 @@ def classification_certificate(k2: int) -> Certificate:
                       "classification table", extra, None)
             )
     else:
-        rows.append(
+        rows = [
             check("table/reference",
                   "the built-in reference table only covers canonical degree 7",
-                  "classification table", k2, 7)
-        )
-        rows.append(
+                  "classification table", k2, 7),
             recorded("table/unvalidated",
                      "survivors for this degree are reported without validation",
-                     "classification table", [case.to_json_dict() for case in cases])
-        )
+                     "classification table",
+                     [_case_row(k2, k, m, det) for k, m, det in survivors]),
+        ]
     return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
 
 

@@ -90,10 +90,15 @@ class CoverData(Record):
 
 
 def _class_sum(config: CurveConfiguration, names) -> DivisorClass:
-    total = config.lattice.zero()
-    for name in names:
-        total = total + config.cls(name)
-    return total
+    """The sum of the named classes: each distinct name's coefficients times its count.
+
+    One ``DivisorClass`` per sum, so a branch list that repeats a name costs
+    one pass to count it, whatever its length.
+    """
+    total = [0] * config.lattice.rank
+    for name, count in Counter(names).items():
+        total = [t + count * c for t, c in zip(total, config.cls(name).coeffs)]
+    return config.lattice.divisor(total)
 
 
 def make_cover(

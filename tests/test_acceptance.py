@@ -182,17 +182,49 @@ def test_c8_property_suites():
     test_properties.test_any_single_root_edit_is_detected()
 
 
-def test_repeated_branch_names_verify_in_bounded_time(tmp_path, capsys):
+def verify_with_copies_of_fb(tmp_path, capsys, copies, emit):
+    """(exit code, stdout, seconds) of verify on dp1 with extra copies of Fb in Delta_1."""
     doc = surface_to_dict(SurfaceFile("big", *fixture("dp1")))
     del doc["cover"]["roots"]
-    doc["cover"]["delta"][0] += ["Fb"] * 20_000
-    path = tmp_path / "surface.json"
+    doc["cover"]["delta"][0] += ["Fb"] * copies
+    path = tmp_path / f"surface-{copies}.json"
     path.write_text(json.dumps(doc))
     start = time.monotonic()
-    code = main(["verify", "--file", str(path)])
+    code = main(["verify", "--file", str(path), "--emit", emit])
     elapsed = time.monotonic() - start
-    out = capsys.readouterr().out
+    return code, capsys.readouterr().out, elapsed
+
+
+def test_repeated_branch_names_verify_in_bounded_time(tmp_path, capsys):
+    code, out, elapsed = verify_with_copies_of_fb(tmp_path, capsys, 20_000, "md")
     assert code == 1
     assert ("| building/distinct-names | branch component names are pairwise distinct "
             "across the three lists | branch components | [\"Fb\"] | [] | fail |") in out
     assert elapsed < REPEATED_NAMES_BUDGET_S
+
+
+def test_branch_sums_scale_with_distinct_names(tmp_path, capsys):
+    # each Delta_i is summed from its name counts, so ten times the copies
+    # (a 1.2 MB file) fit the same budget and give the same rows
+    def rows(copies):
+        code, out, elapsed = verify_with_copies_of_fb(tmp_path, capsys, copies, "json")
+        doc = json.loads(out)
+        return code, [(r["id"], r["status"]) for r in doc["rows"]], elapsed
+
+    code, got, elapsed = rows(200_000)
+    assert elapsed < REPEATED_NAMES_BUDGET_S
+    assert code == 1
+    assert ("building/distinct-names", "fail") in got
+    assert rows(20_000)[:2] == (code, got)
+
+
+def test_classify_at_the_largest_degrees_in_bounded_time(capsys):
+    # the top of the accepted range (MAX_K2 = 50), odd and even: no reference
+    # table off K^2 = 7, so the table/reference row fails and the exit code is 1
+    for k2 in (49, 50):
+        start = time.monotonic()
+        code = main(["classify", "--k2", str(k2)])
+        elapsed = time.monotonic() - start
+        capsys.readouterr()
+        assert code == 1, k2
+        assert elapsed < CLASSIFY_BUDGET_S, k2

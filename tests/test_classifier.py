@@ -11,6 +11,7 @@ from bidouble.classifier import (
     branch_matrix_determinant,
     candidate_k_triples,
     candidate_k_triples_trace,
+    classification_certificate,
     classify,
     classify_with_trace,
     eigenspace_dims,
@@ -213,6 +214,24 @@ def test_classify_k7_table():
         {"K2": 7, "k": [5, 3, 1], "m": [1, 3, 1], "r": [-1, -1, -1],
          "l": [4, 2, 2], "KSigma2": -1, "detA": 16, "status": "open"},
     ]
+
+
+def test_certificate_survivor_rows_are_the_classified_cases():
+    # the certificate writes its survivor rows from the stage-two walk with
+    # no NumericalCase; at every degree they are the cases' own dicts, key
+    # order included (markdown cells keep it), and each det A the walk
+    # computed is the closed form of the row's m
+    for k2 in range(1, MAX_K2 + 1):
+        rows = classification_certificate(k2).rows
+        if k2 == 7:  # table/count, then one table/* row per reference case
+            survivors = [r.computed for r in rows[1:]]
+        else:
+            assert rows[1].row_id == "table/unvalidated"
+            survivors = rows[1].computed
+        expected = [c.to_json_dict() for c in classify(k2)]
+        assert [list(d.items()) for d in survivors] == [list(d.items()) for d in expected], k2
+        for d in survivors:
+            assert d["detA"] == branch_matrix_determinant(tuple(reversed(d["m"]))), (k2, d)
 
 
 def test_classify_trace_flags_validation():

@@ -728,11 +728,9 @@ def test_enumerate_on_nine_point_lattice_is_input_error(tmp_path, capsys):
 @pytest.mark.parametrize("emit", ["json", "md"])
 def test_unrenderable_certificate_value_is_internal_error(monkeypatch, capsys, emit):
     # a float reaching a certificate row is a library bug, not a failing row
-    class FloatCase:
-        def to_json_dict(self):
-            return {"K2": 0.5}
-
-    monkeypatch.setattr(classifier, "classify", lambda k2: [FloatCase()])
+    # the stage-two walk hands the certificate one survivor with a float det A
+    monkeypatch.setattr(classifier, "_survivors",
+                        lambda k2, ks: iter([((1, 1, 1), (1, 1, 1), 0.5)]))
     code, out, err = run(capsys, "classify", "--k2", "6", "--emit", emit)
     assert (code, out) == (3, "")
     assert err == "internal error: TypeError: a certificate value must be JSON data, not float\n"

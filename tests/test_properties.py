@@ -20,7 +20,7 @@ from bidouble.classifier import (
     enumerate_m_triples,
     enumerate_m_triples_trace,
 )
-from bidouble.covers import building_data_rows, make_cover
+from bidouble.covers import _class_sum, building_data_rows, make_cover
 from bidouble.curves import enumerate_classes, filter_effective_against_nodal
 from bidouble.fixtures import fixture
 from bidouble.lattice import (
@@ -238,6 +238,22 @@ def test_halve_round_trip():
         assert half is not None and half.coeffs == c.coeffs
         if any(x % 2 for x in c.coeffs):
             assert halve(c) is None
+
+
+def test_class_sum_by_multiplicity_matches_name_by_name_sum():
+    # a Delta_i is summed from its name counts; the oracle adds the named
+    # classes one at a time, repeats and all, through DivisorClass.__add__
+    rng = random.Random(SEED + 6)
+    configs = [fixture(name)[0] for name in ("dp1", "inoue")]
+    for _ in range(TRIALS):
+        config = rng.choice(configs)
+        names = config.names()
+        picked = [rng.choice(names) for _ in range(rng.randint(0, 40))]
+        expected = config.lattice.zero()
+        for name in picked:
+            expected = expected + config.cls(name)
+        assert _class_sum(config, picked) == expected
+        assert _class_sum(config, iter(picked)) == expected  # a one-pass iterable too
 
 
 def assert_some_row_fails(cover):
