@@ -22,8 +22,8 @@ _EXPORTS = {
     ),
     "cohomology": ("chi_branch_restrictions", "chi_rank2_twist", "deformation_certificate"),
     "covers": (
-        "CoverData", "CoverError", "CoverInvariants", "compute_invariants", "make_cover",
-        "permute_basis", "run_verification",
+        "CoverData", "CoverError", "CoverInvariants", "compute_invariants", "permute_basis",
+        "run_verification",
     ),
     "curves": (
         "ConfigurationError", "CurveConfiguration", "FiberDecomposition", "NamedCurve",

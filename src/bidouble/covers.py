@@ -9,9 +9,12 @@ subject to the congruences
 
 Here each Delta_i is given as a list of named curves on W; its nodal-role
 members form the part N_i contracted to nodes downstairs, and the rest is
-the honest branch part B_i. All derived invariants of the cover (the
-polarization D = 2K_W + B_1 + B_2 + B_3, the adjoint M = K_W + D, squares,
-Euler characteristics, character-space dimensions) are exact integers.
+the honest branch part B_i. ``CoverData`` sums each list into Delta_i,
+B_i and the nodal count l_i once, when it is built, and derives missing
+roots from those sums; every row and invariant below reads them from
+there. All derived invariants of the cover (the polarization
+D = 2K_W + B_1 + B_2 + B_3, the adjoint M = K_W + D, squares, Euler
+characteristics, character-space dimensions) are exact integers.
 
 Verification never throws on bad data; discrepancies become failing
 certificate rows so a mutated input produces a readable diff.
@@ -33,12 +36,14 @@ class CoverError(ValueError):
 
 
 def permute_basis(cls: DivisorClass, mapping: dict[str, str]) -> DivisorClass:
-    """Push a class through a permutation of exceptional basis names."""
+    """Push a class through a permutation of basis names: the map's values are its keys."""
     lattice = cls.lattice
     names = lattice.basis_names
     for src, dst in mapping.items():
         if src not in names or dst not in names:
             raise CoverError(f"permutation names {src!r} -> {dst!r} not in basis")
+    if set(mapping.values()) != set(mapping):
+        raise CoverError(f"basis map {mapping!r} is not a permutation of its names")
     new = [0] * lattice.rank
     for i, name in enumerate(names):
         target = mapping.get(name, name)
@@ -54,9 +59,17 @@ def permute_basis(cls: DivisorClass, mapping: dict[str, str]) -> DivisorClass:
 class CoverData(Record):
     """Branch lists and square-root classes of one bidouble cover.
 
-    ``roots`` entries may be None when no integral half of the matching
-    Delta sum exists; verification reports that as a failing row instead
-    of refusing to build the object, so mutated data stays inspectable.
+    ``delta`` is stored as three tuples of curve names, whatever sequences
+    it is given as. Building the record sums each list once, from its name
+    counts, into three attributes that are not fields: ``deltas`` (the
+    classes Delta_i), ``branches`` (B_i, the non-nodal part of each) and
+    ``l`` (the number of nodal names in each list, repeats counted). An
+    unknown name raises ``ConfigurationError``.
+
+    ``roots`` None derives each L_i as half of Delta_{i+1} + Delta_{i+2}.
+    A root may be None when no integral half exists; verification reports
+    that as a failing row instead of refusing to build the object, so
+    mutated data stays inspectable.
     """
 
     config: CurveConfiguration
@@ -64,56 +77,38 @@ class CoverData(Record):
     roots: tuple[DivisorClass | None, DivisorClass | None, DivisorClass | None]
 
     def __post_init__(self) -> None:
-        if len(self.delta) != 3 or len(self.roots) != 3:
+        delta = tuple(tuple(names) for names in self.delta)
+        if len(delta) != 3 or (self.roots is not None and len(self.roots) != 3):
             raise CoverError("a bidouble cover needs exactly three branch lists and roots")
-        for names in self.delta:
-            for name in names:
-                self.config.curve(name)  # raises on unknown names
-        for root in self.roots:
-            if root is not None and root.lattice != self.config.lattice:
+        lattice = self.config.lattice
+        deltas, branches, l = [], [], []
+        for names in delta:
+            branch, nodal, count_nodal = [0] * lattice.rank, [0] * lattice.rank, 0
+            for name, count in Counter(names).items():
+                curve = self.config.curve(name)  # raises on unknown names
+                if curve.role == "nodal":
+                    part = nodal
+                    count_nodal += count
+                else:
+                    part = branch
+                for j, c in enumerate(curve.cls.coeffs):
+                    part[j] += count * c
+            branches.append(lattice.divisor(branch))
+            deltas.append(branches[-1] + lattice.divisor(nodal))
+            l.append(count_nodal)
+        if self.roots is None:
+            roots = tuple(halve(deltas[(i + 1) % 3] + deltas[(i + 2) % 3]) for i in range(3))
+        else:
+            roots = tuple(self.roots)
+        for root in roots:
+            if root is not None and root.lattice != lattice:
                 raise CoverError("root class lives on a different lattice")
-
-    def delta_class(self, i: int) -> DivisorClass:
-        return _class_sum(self.config, self.delta[i])
-
-    def nodal_names(self, i: int) -> tuple[str, ...]:
-        return tuple(n for n in self.delta[i] if self.config.curve(n).role == "nodal")
-
-    def branch_class(self, i: int) -> DivisorClass:
-        """Class of B_i: the non-nodal part of Delta_i."""
-        return _class_sum(
-            self.config, (n for n in self.delta[i] if self.config.curve(n).role != "nodal")
-        )
-
-    def l(self) -> tuple[int, int, int]:
-        return tuple(len(self.nodal_names(i)) for i in range(3))  # type: ignore[return-value]
-
-
-def _class_sum(config: CurveConfiguration, names) -> DivisorClass:
-    """The sum of the named classes: each distinct name's coefficients times its count.
-
-    One ``DivisorClass`` per sum, so a branch list that repeats a name costs
-    one pass to count it, whatever its length.
-    """
-    total = [0] * config.lattice.rank
-    for name, count in Counter(names).items():
-        total = [t + count * c for t, c in zip(total, config.cls(name).coeffs)]
-    return config.lattice.divisor(total)
-
-
-def make_cover(
-    config: CurveConfiguration,
-    delta: tuple[tuple[str, ...], ...],
-    roots: tuple[DivisorClass | None, ...] | None = None,
-) -> CoverData:
-    """Cover data; without ``roots``, L_i is half of Delta_{i+1} + Delta_{i+2}, or None."""
-    delta_t = tuple(tuple(d) for d in delta)
-    if roots is None:
-        # indices mod n, so a wrong number of lists reaches the check in CoverData
-        sums = [_class_sum(config, names) for names in delta_t]
-        n = len(sums)
-        roots = tuple(halve(sums[(i + 1) % n] + sums[(i + 2) % n]) for i in range(n))
-    return CoverData(config, delta_t, tuple(roots))  # type: ignore[arg-type]
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "roots", roots)
+        # not fields, so equality and hashing read only the data the sums come from
+        object.__setattr__(self, "deltas", tuple(deltas))
+        object.__setattr__(self, "branches", tuple(branches))
+        object.__setattr__(self, "l", tuple(l))
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +148,7 @@ def building_data_rows(cover: CoverData) -> list[CheckRow]:
             [],
         )
     )
-    deltas = [cover.delta_class(i) for i in range(3)]
+    deltas = cover.deltas
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         pair_sum = deltas[j] + deltas[k]
@@ -289,15 +284,15 @@ class CoverInvariants(Record):
 def compute_invariants(cover: CoverData) -> CoverInvariants:
     """The measured invariants of the cover; ``CoverError`` if a root L_i is None."""
     kw = cover.config.lattice.canonical_class()
-    b = [cover.branch_class(i) for i in range(3)]
+    b, deltas = cover.branches, cover.deltas
     d = 2 * kw + b[0] + b[1] + b[2]
-    upstairs = 2 * kw + cover.delta_class(0) + cover.delta_class(1) + cover.delta_class(2)
+    upstairs = 2 * kw + deltas[0] + deltas[1] + deltas[2]
     if None in cover.roots:
         raise CoverError("cover has an underivable root; verify building data first")
     sum_llk = sum(root.dot(root + kw) for root in cover.roots)
     bb = (b[0].dot(b[1]), b[0].dot(b[2]), b[1].dot(b[2]))  # (B1B2, B1B3, B2B3)
     return CoverInvariants(d, tuple(d.dot(bi) for bi in b), bb,  # type: ignore[arg-type]
-                           tuple(bi.dot(bi) for bi in b), cover.l(),  # type: ignore[arg-type]
+                           tuple(bi.dot(bi) for bi in b), cover.l,  # type: ignore[arg-type]
                            upstairs.dot(upstairs), sum_llk)
 
 
@@ -450,8 +445,7 @@ def run_verification(
 
     inv = compute_invariants(cover)
 
-    for i in range(3):
-        bi = cover.branch_class(i)
+    for i, bi in enumerate(cover.branches):
         for curve in nodal:
             rows.append(
                 check(f"branch-nodal/B{i + 1}.{curve.name}",

@@ -21,7 +21,7 @@ import json
 
 from ._record import Record
 from .certificates import canonical_json
-from .covers import CoverData, make_cover
+from .covers import CoverData
 from .curves import ConfigurationError, CurveConfiguration, NamedCurve, ROLES
 from .lattice import LatticeError, SurfaceLattice
 
@@ -169,7 +169,7 @@ def surface_from_dict(data) -> SurfaceFile:
         ):
             raise SurfaceFileError("'cover.delta' must be three lists of curve names")
         roots_data = cover_data.get("roots")
-        roots = None  # derived by make_cover
+        roots = None  # derived by CoverData
         if roots_data is not None:
             if not isinstance(roots_data, list) or len(roots_data) != 3:
                 raise SurfaceFileError("'cover.roots' must be three coefficient vectors")
@@ -180,7 +180,7 @@ def surface_from_dict(data) -> SurfaceFile:
                 for i, v in enumerate(roots_data)
             )
         try:
-            cover = make_cover(config, delta, roots)
+            cover = CoverData(config, delta, roots)
         except ValueError as exc:
             raise SurfaceFileError(str(exc)) from exc
     return SurfaceFile(label=label, config=config, cover=cover)

@@ -138,6 +138,21 @@ def test_verify_export_round_trip(tmp_path, capsys, name, emit):
     assert reloaded == direct
 
 
+@pytest.mark.parametrize("emit", ["md", "json"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_verify_roots_free_file_matches_the_fixture(tmp_path, capsys, name, emit):
+    # roots left out of the shipped file are derived on load, and they are
+    # the shipped roots: the certificate is the fixture's, byte for byte
+    with open(os.path.join(fixtures._DIR, name + ".json"), encoding="utf-8") as handle:
+        doc = json.load(handle)
+    del doc["cover"]["roots"]
+    path = tmp_path / "roots-free.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, direct, _ = run(capsys, "verify", "--fixture", name, "--emit", emit)
+    assert code == 0
+    assert run(capsys, "verify", "--file", str(path), "--emit", emit) == (0, direct, "")
+
+
 def test_missing_fixture_file_is_input_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(fixtures, "_DIR", str(tmp_path))
     code, out, err = run(capsys, "verify", "--fixture", "dp1")

@@ -9,10 +9,10 @@ from bidouble.covers import (
     FixtureExpectations,
     building_data_rows,
     compute_invariants,
-    make_cover,
     permute_basis,
     run_verification,
 )
+from bidouble.curves import ConfigurationError
 from bidouble.fixtures import expectations, fixture, verify_surface
 
 
@@ -45,19 +45,31 @@ def test_derived_roots_satisfy_defining_congruences():
         root = cover.roots[i]
         assert root is not None
         j, k = (i + 1) % 3, (i + 2) % 3
-        assert (2 * root).coeffs == (cover.delta_class(j) + cover.delta_class(k)).coeffs
+        assert (2 * root).coeffs == (cover.deltas[j] + cover.deltas[k]).coeffs
     total = cover.roots[0] + cover.roots[1] + cover.roots[2]
-    sigma = cover.delta_class(0) + cover.delta_class(1) + cover.delta_class(2)
+    sigma = cover.deltas[0] + cover.deltas[1] + cover.deltas[2]
     assert total.coeffs == sigma.coeffs
 
 
 def test_branch_classes_split_off_nodal_parts():
     config, cover = fixture("inoue")
     # Delta_1 carries the nodal curves Z1 and Z3; B1 is what remains
-    assert set(cover.nodal_names(0)) == {"Z1", "Z3"}
-    b1 = cover.branch_class(0)
-    assert b1.coeffs == (config.cls("Gamma1") + config.cls("F2")).coeffs
-    assert cover.l() == (2, 0, 2)
+    assert cover.branches[0] == config.cls("Gamma1") + config.cls("F2")
+    assert cover.deltas[0] - cover.branches[0] == config.cls("Z1") + config.cls("Z3")
+    assert cover.l == (2, 0, 2)
+
+
+def test_cover_data_refuses_malformed_lists_and_roots():
+    config, cover = fixture("dp1")
+    other, _ = fixture("inoue")
+    with pytest.raises(CoverError, match="exactly three"):
+        CoverData(config, cover.delta[:2], None)
+    with pytest.raises(CoverError, match="exactly three"):
+        CoverData(config, cover.delta, cover.roots[:2])
+    with pytest.raises(ConfigurationError, match="no curve named 'Z1'"):
+        CoverData(config, (cover.delta[0] + ("Z1",), (), ()), None)
+    with pytest.raises(CoverError, match="different lattice"):
+        CoverData(config, cover.delta, (other.lattice.zero(), None, None))
 
 
 def test_invariants_dp1():
@@ -152,7 +164,7 @@ def test_swap_names_are_names_the_expectations_use():
 def test_verification_refuses_broken_building_data():
     config, cover = fixture("dp1")
     delta = (cover.delta[0][1:], cover.delta[1], cover.delta[2])
-    broken = make_cover(config, delta, cover.roots)
+    broken = CoverData(config, delta, cover.roots)
     cert = run_verification(broken, expectations("dp1"), "broken: dp1")
     assert cert.overall == "fail"
     assert cert.failures()
@@ -166,7 +178,7 @@ def test_verification_refuses_broken_building_data():
 def test_withheld_root_fails_exactly_its_congruences():
     config, cover = fixture("inoue")
     roots = (cover.roots[0], None, cover.roots[2])
-    withheld = make_cover(config, cover.delta, roots)
+    withheld = CoverData(config, cover.delta, roots)
     cert = run_verification(withheld, expectations("inoue"), "withheld: inoue")
     failing = {r.row_id: r for r in cert.failures()}
     assert set(failing) == {
@@ -177,14 +189,14 @@ def test_withheld_root_fails_exactly_its_congruences():
     assert failing["building/mixed-2"].computed == "unavailable"
     # the side that does not involve L_2 is still computed
     assert failing["building/double-2"].expected == (
-        cover.delta_class(0) + cover.delta_class(2)
+        cover.deltas[0] + cover.deltas[2]
     ).coeffs
     assert failing["building/mixed-2"].expected == (cover.roots[0] + cover.roots[2]).coeffs
     assert failing["building/mixed-1"].computed == (
-        cover.roots[0] + cover.delta_class(0)
+        cover.roots[0] + cover.deltas[0]
     ).coeffs
     assert failing["building/mixed-3"].computed == (
-        cover.roots[2] + cover.delta_class(2)
+        cover.roots[2] + cover.deltas[2]
     ).coeffs
     assert failing["building/mixed-1"].expected == "unavailable"
     assert failing["building/mixed-3"].expected == "unavailable"
@@ -195,7 +207,7 @@ def test_withheld_root_fails_exactly_its_congruences():
 def test_underivable_roots_become_failing_rows():
     config, cover = fixture("inoue")
     delta = (cover.delta[0][1:], cover.delta[1], cover.delta[2])
-    broken = make_cover(config, delta)
+    broken = CoverData(config, delta, None)
     assert any(r is None for r in broken.roots)
     rows = building_data_rows(broken)
     assert any(r.status == "fail" for r in rows)
@@ -211,6 +223,11 @@ def test_permute_basis():
     assert permute_basis(config.cls("Gamma1"), swap).coeffs == config.cls("Gamma1").coeffs
     with pytest.raises(CoverError):
         permute_basis(z1, {"E1": "nope"})
+    # a map that is no permutation of its names would overwrite a coefficient:
+    # E2's own coefficient over the one moved from E1, or E1's dropped
+    for mapping in ({"E1": "E2"}, {"E1": "E1'"}):
+        with pytest.raises(CoverError, match="not a permutation"):
+            permute_basis(z1, mapping)
 
 
 def test_full_verification_certificates():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -15,6 +16,24 @@ def test_star_import_exports_each_name_once():
     exec("from bidouble import *", namespace)
     assert len(bidouble.__all__) == len(set(bidouble.__all__))
     assert set(bidouble.__all__) <= set(namespace)
+
+
+def test_runtime_imports_only_the_standard_library():
+    # the package has no runtime dependency: every import a module makes
+    # names a standard-library module or the package itself
+    package = Path(bidouble.__file__).parent
+    imported = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((path.name, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    outside = sorted((where, name) for where, name in imported
+                     if name.split(".")[0] not in sys.stdlib_module_names | {"bidouble"})
+    assert outside == []
+    assert ("surface_io.py", "json") in imported  # the walk sees the imports
 
 
 def test_version_matches_pyproject():

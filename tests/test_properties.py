@@ -20,7 +20,7 @@ from bidouble.classifier import (
     enumerate_m_triples,
     enumerate_m_triples_trace,
 )
-from bidouble.covers import _class_sum, building_data_rows, make_cover
+from bidouble.covers import CoverData, building_data_rows
 from bidouble.curves import enumerate_classes, filter_effective_against_nodal
 from bidouble.fixtures import fixture
 from bidouble.lattice import (
@@ -240,20 +240,45 @@ def test_halve_round_trip():
             assert halve(c) is None
 
 
-def test_class_sum_by_multiplicity_matches_name_by_name_sum():
-    # a Delta_i is summed from its name counts; the oracle adds the named
-    # classes one at a time, repeats and all, through DivisorClass.__add__
+def test_cover_sums_match_name_by_name_sums():
+    # CoverData sums each branch list from its name counts; the oracle adds
+    # the named classes one at a time, repeats and all, through
+    # DivisorClass.__add__, and splits off the nodal names by role
     rng = random.Random(SEED + 6)
     configs = [fixture(name)[0] for name in ("dp1", "inoue")]
+    halvable = set()
     for _ in range(TRIALS):
         config = rng.choice(configs)
         names = config.names()
-        picked = [rng.choice(names) for _ in range(rng.randint(0, 40))]
-        expected = config.lattice.zero()
-        for name in picked:
-            expected = expected + config.cls(name)
-        assert _class_sum(config, picked) == expected
-        assert _class_sum(config, iter(picked)) == expected  # a one-pass iterable too
+        delta = [[rng.choice(names) for _ in range(rng.randint(0, 15))] for _ in range(3)]
+        deltas, branches, l = [], [], []
+        for picked in delta:
+            whole = branch = config.lattice.zero()
+            nodal = 0
+            for name in picked:
+                whole = whole + config.cls(name)
+                if config.curve(name).role == "nodal":
+                    nodal += 1
+                else:
+                    branch = branch + config.cls(name)
+            deltas.append(whole)
+            branches.append(branch)
+            l.append(nodal)
+        cover = CoverData(config, delta, None)
+        assert cover.deltas == tuple(deltas)
+        assert cover.branches == tuple(branches)
+        assert cover.l == tuple(l)
+        for i, root in enumerate(cover.roots):
+            pair_sum = deltas[(i + 1) % 3] + deltas[(i + 2) % 3]
+            if any(c % 2 for c in pair_sum.coeffs):
+                assert root is None
+            else:
+                assert 2 * root == pair_sum
+            halvable.add(root is not None)
+        as_tuples = CoverData(config, tuple(tuple(picked) for picked in delta), None)
+        assert cover.delta == as_tuples.delta
+        assert cover == as_tuples and hash(cover) == hash(as_tuples)
+    assert halvable == {True, False}  # both outcomes were drawn
 
 
 def assert_some_row_fails(cover):
@@ -268,13 +293,13 @@ def test_any_single_delta_edit_is_detected():
             for dropped in cover.delta[i]:
                 delta = list(cover.delta)
                 delta[i] = tuple(n for n in delta[i] if n != dropped)
-                assert_some_row_fails(make_cover(config, tuple(delta), cover.roots))
+                assert_some_row_fails(CoverData(config, delta, cover.roots))
             for added in config.names():
                 if added in cover.delta[i]:
                     continue
                 delta = list(cover.delta)
                 delta[i] = delta[i] + (added,)
-                assert_some_row_fails(make_cover(config, tuple(delta), cover.roots))
+                assert_some_row_fails(CoverData(config, delta, cover.roots))
 
 
 def test_any_single_root_edit_is_detected():
@@ -286,4 +311,4 @@ def test_any_single_root_edit_is_detected():
             for unit in units:
                 roots = list(cover.roots)
                 roots[i] = roots[i] + unit
-                assert_some_row_fails(make_cover(config, cover.delta, tuple(roots)))
+                assert_some_row_fails(CoverData(config, cover.delta, roots))
