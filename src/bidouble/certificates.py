@@ -16,14 +16,14 @@ One writer renders every certificate value, in one of two layouts:
   ``", "`` and ``": "`` separators.
 
 Each layout is byte for byte what the standard library's JSON encoder
-writes for the normalised value, with ``sort_keys=True, indent=2`` and
-with its defaults respectively.
+writes for the value with its tuples turned into lists, with
+``sort_keys=True, indent=2`` and with its defaults respectively.
 
-Normalising turns tuples into lists and dictionary keys into ``str(key)``;
-when two keys collide as strings the last value wins, in the first key's
-place, and the values it hides must still be certificate values. Only
-certificate values are accepted: None, bools, ints, strings, lists, tuples
-and dicts of them. Anything else, floats included, raises ``TypeError``.
+A certificate value is None, a bool, an exact ``int``, an exact ``str``,
+a ``list`` or ``tuple`` of values, or an exact ``dict`` whose keys are
+exact ``str``. Anything else raises ``TypeError``: a float, a subclass of
+a built-in (an ``IntEnum``, an ``OrderedDict``) and a key of any other
+type alike.
 
 ``check`` compares the canonical texts of its two values, so a row passes
 only when both are the same JSON: ``true`` is not ``1``.
@@ -108,10 +108,6 @@ def canonical_json(obj) -> str:
     return _Writer(True).text(obj) + "\n"
 
 
-def _refusal(value) -> TypeError:
-    return TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
-
-
 _EXACT_INT = frozenset((int,))
 _EXACT_STR = frozenset((str,))
 _EXACT_DICT = frozenset((dict,))
@@ -122,11 +118,16 @@ _COMPACT = ("", ", ", "")
 class _Writer:
     """Writes certificate values as JSON text in the canonical or the compact layout.
 
-    A dict whose keys are all exact ``str`` is written from a shape cached
-    per (key tuple, depth): the order of its values and the pre-quoted
-    heads, separator and key, in front of each. The many dicts of one
-    certificate that share their keys are then neither sorted nor quoted
-    again. The cache lives as long as the writer, which is one rendering.
+    It takes types as the module docstring states them: a value of any
+    other type, a subclass of a built-in included, and a dict key that is
+    not an exact ``str`` raise ``TypeError``, in either layout.
+
+    A dict is written from a shape cached per (key tuple, depth): the
+    order of its values and the pre-quoted heads, separator and key, in
+    front of each. The many dicts of one certificate that share their keys
+    are then neither sorted nor quoted again. The keys are type-checked
+    before the lookup, since a ``str`` subclass key equals its ``str``. The
+    cache lives as long as the writer, which is one rendering.
 
     A table, a list of two or more exact dicts that share one key tuple of
     exact ``str`` and hold only flat values, is written column by column:
@@ -138,7 +139,7 @@ class _Writer:
     last rows and then column by column, so a list of dicts that hold
     containers (a certificate's rows) leaves the path at once. Any other
     list, a table that is not flat included, is written item by item, so
-    what is refused is refused as before.
+    what the table path does not take is refused there.
     """
 
     __slots__ = ("canonical", "parts", "shapes")
@@ -178,16 +179,8 @@ class _Writer:
             self.parts.append("true")
         elif value is False:
             self.parts.append("false")
-        elif isinstance(value, str):
-            self.parts.append(_quote(value))
-        elif isinstance(value, int):
-            self.parts.append(int.__repr__(value))
-        elif isinstance(value, (list, tuple)):
-            self.write_list(value, depth)
-        elif isinstance(value, dict):
-            self.write_dict(value, depth)
         else:
-            raise _refusal(value)
+            raise TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
 
     def write_list(self, value, depth: int) -> None:
         parts = self.parts
@@ -216,18 +209,13 @@ class _Writer:
             parts.append("{}")
             return
         keys = tuple(value)
-        if _EXACT_STR.issuperset(map(type, keys)):
-            values = tuple(value.values())
-            shape = self.shapes.get((keys, depth))
-            if shape is None:
-                shape = self.shapes[keys, depth] = self.shape(keys, depth)
-        else:
-            items = {str(k): v for k, v in value.items()}
-            if len(items) < len(value):
-                # values hidden by the collision must still be certificate values
-                _Writer(False).write(list(value.values()), 0)
-            keys, values = tuple(items), tuple(items.values())
-            shape = self.shape(keys, depth)
+        if not _EXACT_STR.issuperset(map(type, keys)):
+            bad = next(k for k in keys if type(k) is not str)
+            raise TypeError(f"a certificate dict key must be a str, not {type(bad).__name__}")
+        shape = self.shapes.get((keys, depth))
+        if shape is None:
+            shape = self.shapes[keys, depth] = self.shape(keys, depth)
+        values = tuple(value.values())
         heads, close, (first, sep, inner_close) = shape
         # scalars and all-int lists inline
         for head, i in heads:

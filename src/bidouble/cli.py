@@ -35,8 +35,8 @@ compute. The parser reads what argparse would: ``--opt value`` and
 
 Exit codes: 0 all checks pass, 1 at least one failing row, 2 input
 error (bad flags, unreadable or invalid file, unwritable export path,
-unknown fixture, a fixture file edited into a cover ``report`` cannot
-compute on, degree outside 1..MAX_K2, a lattice with no class
+unknown fixture, a fixture file with no cover block or edited into a
+cover ``report`` cannot compute on, degree outside 1..MAX_K2, a lattice with no class
 enumeration, a self-intersection outside MIN_SELFINT..MAX_SELFINT of
 ``curves``), 3 internal error (any other exception, ``ValueError``
 included, reported as one ``internal error: <Type>: <message>`` line on

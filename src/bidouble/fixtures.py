@@ -206,9 +206,17 @@ def _lookup(name: str) -> _Fixture:
 
 
 def fixture(name: str) -> tuple[CurveConfiguration, CoverData]:
-    """A fixture's curves and cover, read from its shipped surface file."""
+    """A fixture's curves and cover, read from its shipped surface file.
+
+    A fixture is a cover: a file without a cover block raises
+    ``FixtureError``, as an unknown name does, and a file that does not
+    load raises ``SurfaceFileError``.
+    """
     _lookup(name)
-    surface = load_surface(os.path.join(_DIR, name + ".json"))
+    path = os.path.join(_DIR, name + ".json")
+    surface = load_surface(path)
+    if surface.cover is None:
+        raise FixtureError(f"fixture {name!r}: {path} has no cover block")
     return surface.config, surface.cover
 
 

@@ -64,9 +64,6 @@ class SurfaceLattice(Record):
     def basis_names(self) -> tuple[str, ...]:
         return ("L",) + self.exceptional_names
 
-    def k_squared(self) -> int:
-        return 9 - self.n
-
     # -- class constructors -------------------------------------------------
 
     def divisor(self, coeffs: list[int] | tuple[int, ...]) -> DivisorClass:
@@ -121,19 +118,6 @@ class DivisorClass(Record):
         if not _INT_ONLY.issuperset(map(type, vec)):
             bad = next(c for c in vec if type(c) is not int)
             raise LatticeError(f"coefficient {bad!r} for lattice {lattice.label!r} is not an int")
-
-    @property
-    def degree(self) -> int:
-        return self.coeffs[0]
-
-    def coefficient(self, name: str) -> int:
-        if name == "L":
-            return self.coeffs[0]
-        try:
-            i = self.lattice.exceptional_names.index(name)
-        except ValueError:
-            raise LatticeError(f"no basis vector named {name!r}") from None
-        return self.coeffs[i + 1]
 
     # -- ring-ish operations -------------------------------------------------
 

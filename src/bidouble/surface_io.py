@@ -22,7 +22,7 @@ import json
 from ._record import Record
 from .certificates import canonical_json
 from .covers import CoverData
-from .curves import ConfigurationError, CurveConfiguration, NamedCurve, ROLES
+from .curves import ConfigurationError, CurveConfiguration, NamedCurve
 from .lattice import LatticeError, SurfaceLattice
 
 _TOP_KEYS = {"label", "basis", "signature", "curves", "cover"}
@@ -144,8 +144,6 @@ def surface_from_dict(data) -> SurfaceFile:
         if not isinstance(name, str) or not name:
             raise SurfaceFileError("curve entries need a non-empty 'name'")
         _check_name(name, "curve name")
-        if role not in ROLES:
-            raise SurfaceFileError(f"curve {name!r} has unknown role {role!r}")
         coeffs = _int_vector(entry.get("class"), rank, f"class of curve {name!r}")
         named.append(NamedCurve(name, lattice.divisor(coeffs), role))
     try:

@@ -161,6 +161,22 @@ def test_missing_fixture_file_is_input_error(monkeypatch, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("argv", [
+    ("report", "{}"),
+    ("verify", "--fixture", "{}"),
+    ("enumerate", "--fixture", "{}", "--selfint", "-1"),
+], ids=["report", "verify", "enumerate"])
+def test_fixture_file_without_a_cover_is_input_error(monkeypatch, tmp_path, capsys, name, argv):
+    doc = json.loads((Path(fixtures.__file__).parent / f"{name}.json").read_text())
+    del doc["cover"]
+    (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(fixtures, "_DIR", str(tmp_path))
+    code, out, err = run(capsys, *(arg.format(name) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == f"error: fixture {name!r}: {tmp_path / (name + '.json')} has no cover block\n"
+
+
 def _withhold_first_root(doc):
     doc["cover"]["roots"][0] = None
 

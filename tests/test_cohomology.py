@@ -26,7 +26,7 @@ def test_chi_rank2_twist_values():
 def test_chi_rank2_twist_zero_class_on_every_lattice():
     for n in range(0, 9):
         lat = SurfaceLattice(f"z{n}", tuple(f"E{i}" for i in range(1, n + 1)))
-        assert chi_rank2_twist(lat.zero()) == lat.k_squared() - 10
+        assert chi_rank2_twist(lat.zero()) == (9 - lat.n) - 10  # K^2 - 10
 
 
 def test_chi_branch_restrictions():

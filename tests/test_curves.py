@@ -101,7 +101,7 @@ def test_twentyseven_lines_by_degree():
     classes = enumerate_classes(make(6), -1)
     by_degree = {}
     for c in classes:
-        by_degree[c.degree] = by_degree.get(c.degree, 0) + 1
+        by_degree[c.coeffs[0]] = by_degree.get(c.coeffs[0], 0) + 1
     assert by_degree == {0: 6, 1: 15, 2: 6}
 
 

@@ -1,11 +1,12 @@
 """Seeded fuzz of the command line on mutated surface files.
 
 Each trial applies one random edit to an exported fixture and runs the
-file through ``verify`` and ``enumerate``. Whatever the edit, the exit
-code must be 0, 1 or 2 (3 is a library bug; a name broken by ``|`` or a
-line boundary must give 2), stderr must carry no traceback and no
-internal error, and a file that verifies at all must export to a file
-that verifies to the same bytes.
+file through ``verify`` and ``enumerate``, then reads it in place of the
+shipped fixture file and runs ``report NAME`` and ``verify --fixture
+NAME``. Whatever the edit, the exit code must be 0, 1 or 2 (3 is a
+library bug; a name broken by ``|`` or a line boundary must give 2),
+stderr must carry no traceback and no internal error, and a file that
+verifies at all must export to a file that verifies to the same bytes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+from bidouble import fixtures
 from bidouble.cli import main
 
 TRIALS = 150  # per fixture
@@ -111,18 +113,23 @@ def run(capsys, *argv):
 
 
 @pytest.mark.parametrize("name", ["dp1", "inoue"])
-def test_mutated_files_keep_the_exit_code_contract(tmp_path, capsys, name):
+def test_mutated_files_keep_the_exit_code_contract(monkeypatch, tmp_path, capsys, name):
     exported = tmp_path / "fixture.json"
     assert run(capsys, "verify", "--fixture", name, "--export", str(exported))[0] == 0
     original = json.loads(exported.read_text())
     rng = random.Random(f"{SEED}-{name}")
     path, again = tmp_path / "mutated.json", tmp_path / "again.json"
+    # the same edit, read as the shipped fixture file
+    shipped = tmp_path / "shipped"
+    shipped.mkdir()
+    monkeypatch.setattr(fixtures, "_DIR", str(shipped))
     codes = set()
     for trial in range(TRIALS):
         doc = copy.deepcopy(original)
         mutation = rng.choice(MUTATIONS)
         mutation(rng, doc)
         path.write_text(json.dumps(doc))
+        (shipped / f"{name}.json").write_text(json.dumps(doc))
         where = (name, trial, mutation.__name__)
 
         code, out = run(capsys, "verify", "--file", str(path), "--export", str(again))
@@ -132,5 +139,8 @@ def test_mutated_files_keep_the_exit_code_contract(tmp_path, capsys, name):
             assert run(capsys, "verify", "--file", str(again)) == (code, out), where
         code, _ = run(capsys, "enumerate", "--file", str(path), "--selfint", "-1")
         assert code in ((2,) if mutation is break_name else (0, 2)), where
+        for argv in (("report", name), ("verify", "--fixture", name)):
+            code, _ = run(capsys, *argv)
+            assert code in ((2,) if mutation is break_name else (0, 1, 2)), where + argv
     # the edits reach every outcome, not only the parser's refusals
     assert codes == {0, 1, 2}
