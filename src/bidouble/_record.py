@@ -38,7 +38,8 @@ class. ``inspect.signature`` of a record class therefore reads
 
 Records are not tuples, so they never pass an ``isinstance(value, tuple)``
 test: certificate serialisation refuses a record instead of writing it as
-a list, and no record equals a plain tuple.
+a list (``certificates.Table`` aside, which it writes as the list of dicts
+the table declares), and no record equals a plain tuple.
 """
 
 from itertools import repeat

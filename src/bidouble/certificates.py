@@ -20,10 +20,18 @@ writes for the value with its tuples turned into lists, with
 ``sort_keys=True, indent=2`` and with its defaults respectively.
 
 A certificate value is None, a bool, an exact ``int``, an exact ``str``,
-a ``list`` or ``tuple`` of values, or an exact ``dict`` whose keys are
-exact ``str``. Anything else raises ``TypeError``: a float, a subclass of
-a built-in (an ``IntEnum``, an ``OrderedDict``) and a key of any other
-type alike.
+a ``list`` or ``tuple`` of values, an exact ``dict`` whose keys are
+exact ``str``, or a ``Table``. Anything else raises ``TypeError``: a
+float, a subclass of a built-in (an ``IntEnum``, an ``OrderedDict``) and
+a key of any other type alike.
+
+A ``Table`` is a declared list of dicts: a tuple of keys and rows of
+cells, one cell per key. A cell is an exact int, an exact str or a
+non-empty tuple of exact ints, and a column holds one kind of cell (and
+tuples of one length). It is checked once, when it is built, and is
+written as the list of dicts it stands for, one ``%`` template per row.
+The writer detects no tables: any other list, a list of dicts included,
+is written item by item.
 
 ``check`` compares the canonical texts of its two values, so a row passes
 only when both are the same JSON: ``true`` is not ``1``.
@@ -31,7 +39,6 @@ only when both are the same JSON: ``true`` is not ``1``.
 
 from __future__ import annotations
 
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._record import Record
@@ -60,6 +67,51 @@ def check(row_id: str, description: str, ref: str, computed, expected) -> CheckR
 def recorded(row_id: str, description: str, ref: str, value) -> CheckRow:
     """An imported fact, stated but not derived here."""
     return CheckRow(row_id, description, ref, value, None, RECORDED)
+
+
+class Table(Record):
+    """A list of dicts that share one key tuple, declared as such (see the module docstring).
+
+    ``rows`` holds one tuple of cells per dict, in the order of ``keys``.
+    Building one checks it, one pass per column, and raises ``TypeError``
+    for what the writer refuses (a key that is not an exact ``str``, a
+    cell that is not certificate data), with the writer's message, and for
+    whatever else is not a table: no key or a repeated one, a row that is
+    not a tuple of one cell per key, and a column that is not all exact
+    ints, all exact strs or all non-empty tuples of exact ints of one
+    length. Writing one checks nothing again.
+    """
+
+    keys: tuple[str, ...]
+    rows: tuple[tuple, ...]
+
+    def __post_init__(self) -> None:
+        keys, rows = tuple(self.keys), tuple(self.rows)
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "rows", rows)
+        for key in keys:
+            if type(key) is not str:
+                raise TypeError(f"a certificate dict key must be a str, not {type(key).__name__}")
+        if (not keys or len(set(keys)) < len(keys)
+                or not all(type(row) is tuple and len(row) == len(keys) for row in rows)):
+            raise TypeError("a table has one or more distinct keys and rows of one cell per key")
+        # each column with its kind: int or str and the column, or the length
+        # of its int tuples and the column of each position
+        columns = []
+        for key, column in zip(keys, zip(*rows)):
+            kinds = set(map(type, column))
+            if kinds == _EXACT_INT or kinds == _EXACT_STR:
+                columns.append((kinds.pop(), column))
+                continue
+            positions = ()
+            if kinds == _EXACT_TUPLE and len(set(map(len, column))) == 1:
+                positions = tuple(zip(*column))
+            if not positions or not all(_EXACT_INT.issuperset(map(type, p)) for p in positions):
+                _Writer(True).text(column)  # what the writer refuses, a float say, as it does
+                raise TypeError(f"table column {key!r} is not all exact ints, all exact strs "
+                                "or all non-empty tuples of exact ints of one length")
+            columns.append((len(positions), positions))
+        object.__setattr__(self, "_columns", tuple(columns))
 
 
 class Certificate(Record):
@@ -110,8 +162,7 @@ def canonical_json(obj) -> str:
 
 _EXACT_INT = frozenset((int,))
 _EXACT_STR = frozenset((str,))
-_EXACT_DICT = frozenset((dict,))
-_SEQUENCES = frozenset((list, tuple))
+_EXACT_TUPLE = frozenset((tuple,))
 _COMPACT = ("", ", ", "")
 
 
@@ -129,17 +180,9 @@ class _Writer:
     before the lookup, since a ``str`` subclass key equals its ``str``. The
     cache lives as long as the writer, which is one rendering.
 
-    A table, a list of two or more exact dicts that share one key tuple of
-    exact ``str`` and hold only flat values, is written column by column:
-    each column's types are checked in one pass, and each row is one ``%``
-    template, built from the cached shape, filled with that row's values.
-    A flat value is an exact int, an exact str, or a non-empty list or
-    tuple of exact ints; a column is all ints, all strs or all sequences
-    of one length. Flatness is tested before the keys, on the first and
-    last rows and then column by column, so a list of dicts that hold
-    containers (a certificate's rows) leaves the path at once. Any other
-    list, a table that is not flat included, is written item by item, so
-    what the table path does not take is refused there.
+    A ``Table``, checked when it was built, is written without a check:
+    each row is one ``%`` template, built from the shape of its keys,
+    filled with that row's cells. Every other list is written item by item.
     """
 
     __slots__ = ("canonical", "parts", "shapes")
@@ -173,6 +216,8 @@ class _Writer:
             self.write_list(value, depth)
         elif cls is dict:
             self.write_dict(value, depth)
+        elif cls is Table:
+            self.write_table(value, depth)
         elif value is None:
             self.parts.append("null")
         elif value is True:
@@ -191,11 +236,6 @@ class _Writer:
         if _EXACT_INT.issuperset(map(type, value)):  # no bools, which are ints too
             parts.append(f"[{first}{sep.join(map(str, value))}{close}]")
             return
-        if type(value[0]) is dict and len(value) > 1:
-            rows = self.table_rows(value, depth + 1)
-            if rows is not None:
-                parts.append(f"[{first}{sep.join(rows)}{close}]")
-                return
         head = "[" + first
         for item in value:
             parts.append(head)
@@ -232,54 +272,28 @@ class _Writer:
                 self.write(item, depth + 1)
         parts.append(close)
 
-    def table_rows(self, rows, depth: int):
-        """The text of each row of a table at depth, or None when rows are not a table."""
-        if not _EXACT_DICT.issuperset(map(type, rows)):
-            return None
-        # the end rows alone first, so that a list of dicts holding containers
-        # or empty lists (a certificate's rows) leaves before any column pass;
-        # this also makes the one length of a sequence column below non-zero
-        for value in chain(rows[0].values(), rows[-1].values()):
-            kind = type(value)
-            if not (kind is int or kind is str or (kind is list or kind is tuple) and value):
-                return None
-        # each column with its kind: int, str, or the length of its int sequences
-        cells = []
-        for column in zip(*map(dict.values, rows)):
-            kinds = set(map(type, column))
-            if kinds == _EXACT_INT or kinds == _EXACT_STR:
-                cells.append((kinds.pop(), column))
-            elif kinds <= _SEQUENCES:
-                lengths = set(map(len, column))
-                if (len(lengths) > 1
-                        or not _EXACT_INT.issuperset(map(type, chain.from_iterable(column)))):
-                    return None
-                cells.append((lengths.pop(), column))
-            else:
-                return None
-        keys = tuple(rows[0])
-        if (not keys or not _EXACT_STR.issuperset(map(type, chain.from_iterable(rows)))
-                or not all(map(keys.__eq__, map(tuple, rows)))):
-            return None
-        shape = self.shapes.get((keys, depth))
-        if shape is None:
-            shape = self.shapes[keys, depth] = self.shape(keys, depth)
-        heads, close, (first, sep, inner_close) = shape
+    def write_table(self, table: Table, depth: int) -> None:
+        if not table.rows:
+            self.parts.append("[]")
+            return
+        first, sep, close = self.level(depth)
+        heads, row_close, (inner_first, inner_sep, inner_close) = self.shape(table.keys, depth + 1)
         template, args = [], []
         for head, i in heads:
-            kind, column = cells[i]
+            kind, cells = table._columns[i]
             template.append(head.replace("%", "%%"))  # a key may hold a %
             if kind is int:
                 template.append("%s")
-                args.append(column)
+                args.append(cells)
             elif kind is str:
                 template.append("%s")
-                args.append(map(_quote, column))
+                args.append(map(_quote, cells))
             else:
-                template.append(f"[{first}{sep.join(['%s'] * kind)}{inner_close}]")
-                args.extend(zip(*column))
-        template.append(close)
-        return map("".join(template).__mod__, zip(*args))
+                template.append(f"[{inner_first}{inner_sep.join(['%s'] * kind)}{inner_close}]")
+                args.extend(cells)
+        template.append(row_close)
+        rows = map("".join(template).__mod__, zip(*args))
+        self.parts.append(f"[{first}{sep.join(rows)}{close}]")
 
     def shape(self, keys: tuple[str, ...], depth: int):
         """(head and value index per key in output order, closing text, inner level)."""

@@ -28,11 +28,17 @@ rejected candidate, the first test it fails in filter order; that walk
 is also the oracle the bounded search is tested against.
 
 ``enumerate_m_triples`` and ``classify`` build a ``NumericalCase`` per
-survivor. ``classification_certificate`` builds none: it writes each
-survivor's row from the walk's (k, m, det A) with ``_case_row``, the one
-writer of a case's row (``NumericalCase.to_json_dict`` calls it too), and
-checks the rows against ``K7_REFERENCE``, the published K^2 = 7 table and
-the one place a status is written.
+survivor; stage two refuses what stage one refuses (a K^2 outside
+1..``MAX_K2``) and any k_i outside 0..K^2, which is never a case.
+``classification_certificate`` builds none: it takes each survivor's row
+from the walk's (k, m, det A) with ``_case_cells``, the one definition of
+a case's row (its keys are ``_CASE_KEYS``). At K^2 = 7 the rows are dicts
+(``_case_row``, which ``NumericalCase.to_json_dict`` calls too), checked
+against ``K7_REFERENCE``, the published K^2 = 7 table and the one place a
+status is written. At any other K^2 they are the rows of one
+``certificates.Table``, a declared table that is checked once, when it is
+built, and written without a dict per survivor (the writer detects no
+tables: a list of dicts is written dict by dict).
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -46,7 +52,7 @@ from itertools import product
 from math import isqrt
 
 from ._record import Record
-from .certificates import Certificate, check, recorded
+from .certificates import Certificate, Table, check, recorded
 from .lattice import index_bound_holds, is_perfect_square
 
 class ClassifierError(ValueError):
@@ -136,6 +142,13 @@ def _k_failure(k2: int, k: Triple) -> str | None:
     return None
 
 
+def _check_degree(k2: int) -> None:
+    if k2 < 1:
+        raise ClassifierError("positive K^2 required")
+    if k2 > MAX_K2:
+        raise ClassifierError(f"K^2 = {k2} is above the supported maximum {MAX_K2}")
+
+
 def candidate_k_triples(k2: int) -> list[Triple]:
     """Non-increasing triples (K.R_1, K.R_2, K.R_3) surviving stage one.
 
@@ -146,10 +159,7 @@ def candidate_k_triples(k2: int) -> list[Triple]:
     k_3 >= k_1 + k_2 - K^2. And k_2 < K^2, since at most one part has
     degree K^2.
     """
-    if k2 < 1:
-        raise ClassifierError("positive K^2 required")
-    if k2 > MAX_K2:
-        raise ClassifierError(f"K^2 = {k2} is above the supported maximum {MAX_K2}")
+    _check_degree(k2)
     lo = k2 % 2
     triples = []
     for k1 in range(k2, lo - 1, -2):
@@ -239,13 +249,14 @@ def _survivors(k2: int, ks) -> Iterator[tuple[Triple, Triple, int]]:
     Only the m inside those bounds are visited, and each is tested for a
     square determinant.
     """
-    if k2 < 1:
-        raise ClassifierError("positive K^2 required")
     for k in ks:
         ka, kb, kc = k
         s = ka + kb + kc
         dk = (k2 - s) // 2
-        hi = min((s * s + 3 * k2) // (2 * k2), 2 * (dk * dk // k2) - 2 * k2 + s + 12)
+        hi = (s * s + 3 * k2) // (2 * k2)
+        base = 2 * (dk * dk // k2) - 2 * k2 + s + 12
+        if base < hi:
+            hi = base
         floor3 = kc % 4  # the least m_3 on its grid
         if hi < ka % 4 + kb % 4 + floor3:  # below the least sum on the grid
             continue
@@ -255,24 +266,43 @@ def _survivors(k2: int, ks) -> Iterator[tuple[Triple, Triple, int]]:
         cap3 = min(kc + 4, 1 + (ka + kb) ** 2 // (2 * k2))
         if lo > hi or floor3 > cap3:
             continue
-        # survivors as (-sum m, reported m, det), so one sort puts them in order
-        found = []
         # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
         # the reporting convention (reported m_1 <= reported m_2 when the last
         # two k agree, reported m_2 >= reported m_3 when the first two do).
         # Equal k share a residue mod 4, so the tightened starts stay on the grid.
+        same12, same23, same13 = ka == kb, kb == kc, kc == ka
+        floor2 = kb % 4
+        # survivors as (-sum m, reported m, det), so one sort puts them in order
+        found = []
         for m1 in range(ka % 4, cap1 + 1, 4):
             # Only the m_2 whose m_3 range below is not empty, from least <= most:
             # lo - m1 - m2 <= cap3, and <= m2 when k_3 = k_2, bound m_2 below;
             # floor3 <= hi - m1 - m2, and m1 <= hi - m1 - m2 when k_3 = k_1, above.
             # Every other pair of ends holds for all m_2 once the tests above passed.
-            start = m1 if kb == ka else kb % 4
-            least_m2 = max(lo - m1 - cap3, (lo - m1 + 1) // 2 if kc == kb else start)
-            most_m2 = min(cap2, hi - m1 - floor3, hi - 2 * m1 if kc == ka else cap2)
-            for m2 in range(max(start, least_m2 + (start - least_m2) % 4), most_m2 + 1, 4):
+            lo1, hi1 = lo - m1, hi - m1  # the bounds on m_2 + m_3
+            start = m1 if same12 else floor2
+            least_m2 = (lo1 + 1) // 2 if same23 else start
+            if least_m2 < lo1 - cap3:
+                least_m2 = lo1 - cap3
+            most_m2 = hi1 - floor3
+            if most_m2 > cap2:
+                most_m2 = cap2
+            if same13 and most_m2 > hi1 - m1:
+                most_m2 = hi1 - m1
+            if least_m2 > start:
+                start = least_m2 + (start - least_m2) % 4
+            for m2 in range(start, most_m2 + 1, 4):
                 # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
-                least = max(floor3, lo - m1 - m2, m1 if kc == ka else 0)
-                most = min(cap3, hi - m1 - m2, m2 if kc == kb else cap3)
+                least = lo1 - m2
+                if least < floor3:
+                    least = floor3
+                if same13 and least < m1:
+                    least = m1
+                most = hi1 - m2
+                if most > cap3:
+                    most = cap3
+                if same23 and most > m2:
+                    most = m2
                 # branch_matrix_determinant, with the terms free of m_3 taken out
                 fixed, twice = m1 * m1 + m2 * m2 - 1, 2 * m1 * m2
                 for m3 in range(least, most + 1, 4):
@@ -291,13 +321,22 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
 
     Triples related by an index permutation fixing k are the same case, so
     the walk visits only one member of each orbit. Order: larger total
-    intersection first, then reported form ascending.
+    intersection first, then reported form ascending. A K^2 that stage one
+    refuses, or a k_i outside 0..K^2, raises ``ClassifierError``: k_i = K.R_i
+    is nonnegative because K is nef, and a k_i above K^2 makes the other two
+    character dimensions sum to (K^2 - k_i) / 2 < 0, so no such k is a case.
     """
+    _check_degree(k2)
+    if not all(0 <= k_i <= k2 for k_i in k):
+        raise ClassifierError(f"k = {k} has an entry outside 0..K^2 = {k2}")
     return [NumericalCase(k2, k, m) for _, m, _ in _survivors(k2, (k,))]
 
 
 def enumerate_m_triples_trace(k2: int, k: Triple) -> tuple[list[NumericalCase], list[MRejection]]:
-    """Stage two, also returning each rejected domain m with its first failing test."""
+    """Stage two, also returning each rejected domain m with its first failing test.
+
+    It refuses what ``enumerate_m_triples`` refuses, before walking the domain.
+    """
     cases = enumerate_m_triples(k2, k)
     rejections = []
     for m in _m_domain(k):
@@ -358,24 +397,24 @@ def _status(k2: int, k: Triple, m: Triple) -> str:
     return K7_REFERENCE.get((k, m), "open") if k2 == 7 else "open"
 
 
-def _case_row(k2: int, k: Triple, m: Triple, det: int) -> dict:
-    """A case as a certificate value, given its det A.
+# The keys of a case's row, in the order of the markdown cell.
+_CASE_KEYS = ("K2", "k", "m", "r", "l", "KSigma2", "detA", "status")
 
-    The one writer of a case's shape: the certificate's survivor rows and
-    ``NumericalCase.to_json_dict`` both come from here. Key order is the
-    order of the markdown cell.
+
+def _case_cells(k2: int, k: Triple, m: Triple, det: int) -> tuple:
+    """A case's row as cells in ``_CASE_KEYS`` order, given its det A.
+
+    The one definition of a case's row: the certificate's survivor table
+    takes these cells as they are, and ``_case_row`` makes a dict of them.
     """
     l = _l_of(k, m)  # derived once for both of its entries
-    return {
-        "K2": k2,
-        "k": list(k),
-        "m": [m[2], m[1], m[0]],
-        "r": list(R_SQUARES),
-        "l": list(l),
-        "KSigma2": k2 - sum(l),
-        "detA": det,
-        "status": _status(k2, k, m),
-    }
+    return (k2, k, (m[2], m[1], m[0]), R_SQUARES, l, k2 - sum(l), det, _status(k2, k, m))
+
+
+def _case_row(k2: int, k: Triple, m: Triple, det: int) -> dict:
+    """A case as a certificate dict, its triples as lists (``NumericalCase.to_json_dict``)."""
+    return {key: list(cell) if type(cell) is tuple else cell
+            for key, cell in zip(_CASE_KEYS, _case_cells(k2, k, m, det))}
 
 
 # The published K^2 = 7 classification, in table order, from (k, m) (m in
@@ -407,7 +446,8 @@ def classification_certificate(k2: int) -> Certificate:
     """Certificate comparing the survivors at k2 against the built-in table.
 
     Each survivor's row comes straight from the stage-two walk, with the
-    det A the walk computed; no ``NumericalCase`` is built.
+    det A the walk computed; no ``NumericalCase`` is built. At a K^2 other
+    than 7 the survivors are recorded as one ``Table`` of their cells.
     """
     survivors = _survivors(k2, candidate_k_triples(k2))
     if k2 == 7:
@@ -439,7 +479,7 @@ def classification_certificate(k2: int) -> Certificate:
             recorded("table/unvalidated",
                      "survivors for this degree are reported without validation",
                      "classification table",
-                     [_case_row(k2, k, m, det) for k, m, det in survivors]),
+                     Table(_CASE_KEYS, [_case_cells(k2, k, m, det) for k, m, det in survivors])),
         ]
     return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
 

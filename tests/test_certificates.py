@@ -7,6 +7,7 @@ from collections import OrderedDict
 
 import pytest
 
+from bidouble import certificates
 from bidouble.certificates import Certificate, _Writer, canonical_json, check, recorded
 from bidouble.cli import classification_certificate
 from bidouble.cohomology import deformation_certificate
@@ -56,11 +57,14 @@ _TEXT = ["", "a", "é", "ß∑", "\U0001d11e", '"', "\\", "\n", "\t", "\x00", "\
 
 
 def _normalised(value):
-    """The value the layouts are defined on: lists for tuples; only exact built-ins pass."""
+    """The value the layouts are defined on: lists for tuples, lists of dicts for
+    tables; only exact built-ins and tables pass."""
     if value is None or type(value) in (bool, int, str):
         return value
     if type(value) in (list, tuple):
         return [_normalised(v) for v in value]
+    if type(value) is certificates.Table:
+        return [dict(zip(value.keys, _normalised(row))) for row in value.rows]
     if type(value) is dict:
         for key in value:
             if type(key) is not str:
@@ -111,8 +115,9 @@ def _random_value(rng: random.Random, depth: int = 0):
     return _random_table(rng, depth)
 
 
-# Tables: lists of two or more dicts sharing one key tuple. The writer writes
-# a flat one row by row from a template, and any other one dict by dict.
+# Lists of two or more dicts sharing one key tuple, flat or not: the writer
+# writes them dict by dict, as any list. The flat ones are also the tables
+# that a declared ``certificates.Table`` stands for.
 _TABLE_TEXT = _TEXT + ["%", "%s", "%%", "%(k)d"]
 
 
@@ -136,7 +141,7 @@ def _flat_column(rng: random.Random, rows: int) -> list:
 
 
 def _spoilt_cell(rng: random.Random, cell, depth: int):
-    """A value that makes a table with it in one cell fall back to dict-by-dict writing."""
+    """A value that makes a table with it in one cell no longer flat."""
     sequence = type(cell) in (list, tuple)
     return rng.choice([
         lambda: rng.choice([True, False]),
@@ -153,7 +158,7 @@ def _spoilt_cell(rng: random.Random, cell, depth: int):
 
 
 def _random_table(rng: random.Random, depth: int) -> list:
-    """Two to six dicts sharing keys: flat, or with one reason to fall back."""
+    """Two to six dicts sharing keys: flat, or with one reason not to be."""
     rows = rng.randrange(2, 7)
     keys = list(dict.fromkeys(_table_text(rng) for _ in range(rng.randrange(1, 6))))
     columns = [_flat_column(rng, rows) for _ in keys]
@@ -186,7 +191,7 @@ def test_markdown_cells_match_stdlib_on_random_values():
         assert _cell(value) == json.dumps(_normalised(value)), value
 
 
-# a flat table, and one table for each reason to fall back to dict by dict
+# a flat table, and one list of dicts for each reason a table is not flat
 _TABLE_CASES = {
     "flat": [{"b": 2**80, "a": "x%s\n", "c": [1, -2]}, {"b": -1, "a": "", "c": (3, 4)}],
     "percent key": [{"%s": 1, "%%": "%d"}, {"%s": 2, "%%": "%"}],
@@ -208,8 +213,8 @@ _TABLE_CASES = {
 
 
 def test_the_unvalidated_survivors_are_written_as_a_table(monkeypatch):
-    # the survivors of classify at K^2 != 7 are the table the row templates
-    # are for: in neither layout is one of them written dict by dict
+    # the survivors of classify at K^2 != 7 are a declared table, written one
+    # row template at a time: in neither layout is a dict written for them
     written = []
     write_dict = _Writer.write_dict
 
@@ -219,10 +224,36 @@ def test_the_unvalidated_survivors_are_written_as_a_table(monkeypatch):
 
     monkeypatch.setattr(_Writer, "write_dict", spy)
     cert = classification_certificate(15)
-    assert len(cert.rows[1].computed) == 62
+    survivors = cert.rows[1].computed
+    assert type(survivors) is certificates.Table and len(survivors.rows) == 62
+    canonical_json(survivors)
+    _cell(survivors)
+    assert written == []
     cert.to_json()
     cert.to_markdown()
     assert written and not any("K2" in keys for keys in written)
+
+
+def _random_declared_table(rng: random.Random) -> certificates.Table:
+    """A table of up to six rows of flat columns, its int sequences as tuples; a third
+    of its columns hold one cell down the whole column, as the survivors' K2 and r do."""
+    keys = list(dict.fromkeys(_table_text(rng) for _ in range(rng.randrange(1, 6))))
+    columns = []
+    for _ in keys:
+        column = [tuple(cell) if type(cell) is list else cell for cell in _flat_column(rng, 6)]
+        columns.append(column[:1] * 6 if rng.random() < 1 / 3 else column)
+    return certificates.Table(keys, list(zip(*columns))[:rng.randrange(7)])
+
+
+def test_tables_match_stdlib_on_random_tables():
+    # both layouts of a declared table, alone and at random depth, are the
+    # stdlib encoder's text for the list of dicts it stands for
+    rng = random.Random(20140802)
+    for _ in range(1500):
+        table = _random_declared_table(rng)
+        for value in (table, _with_bad_leaf(rng, table)):  # the table as the "leaf"
+            assert canonical_json(value) == _stdlib(value), value
+            assert _cell(value) == json.dumps(_normalised(value)), value
 
 
 def test_a_float_in_a_table_cell_is_refused():
@@ -351,6 +382,41 @@ _REFUSED_TABLES = {
 @pytest.mark.parametrize("table,message", _REFUSED_TABLES.values(), ids=_REFUSED_TABLES)
 def test_a_table_outside_the_rule_is_refused(table, message):
     _assert_refused(table, message)
+
+
+# one table for each way a declared table is refused when it is built: a
+# non-str key and a cell that is not certificate data as the writer refuses
+# them, any other column that is not flat by its key
+_TABLE_SHAPE = "a table has one or more distinct keys and rows of one cell per key"
+_COLUMN = ("table column 'a' is not all exact ints, all exact strs "
+           "or all non-empty tuples of exact ints of one length")
+_NOT_A_TABLE = {
+    "float cell": ((("b", "a"), [(1, 2), (3, 1.5)]), _VALUE + "float"),
+    "float in a tuple": ((("a",), [((1, 2),), ((3, 0.5),)]), _VALUE + "float"),
+    "bool cell": ((("a",), [(1,), (True,)]), _COLUMN),
+    "bool in a tuple": ((("a",), [((1, 2),), ((3, False),)]), _COLUMN),
+    "Count cell": ((("a",), [(1,), (Count(2),)]), _VALUE + "Count"),
+    "Name cell": ((("a",), [("x",), (Name("y"),)]), _VALUE + "Name"),
+    "Span cell": ((("a",), [((1,),), (Span((2,)),)]), _VALUE + "Span"),
+    "None cell": ((("a",), [("x",), (None,)]), _COLUMN),
+    "list cell": ((("a",), [([1],), ([2],)]), _COLUMN),
+    "empty tuple": ((("a",), [((),), ((),)]), _COLUMN),
+    "int and str": ((("a",), [(1,), ("1",)]), _COLUMN),
+    "other length": ((("a",), [((1, 2),), ((3,),)]), _COLUMN),
+    "int key": ((("a", 1), [(1, 2)]), _KEY + "int"),
+    "Label key": (((Label("k"), "j"), [(1, 2)]), _KEY + "Label"),
+    "no key": (((), [(), ()]), _TABLE_SHAPE),
+    "repeated key": ((("k", "j", "k"), [(1, 2, 3)]), _TABLE_SHAPE),
+    "list row": ((("a",), [(1,), [2]]), _TABLE_SHAPE),
+    "short row": ((("a", "b"), [(1, 2), (3,)]), _TABLE_SHAPE),
+}
+
+
+@pytest.mark.parametrize("args,message", _NOT_A_TABLE.values(), ids=_NOT_A_TABLE)
+def test_a_table_refuses_what_is_not_a_table_when_built(args, message):
+    with pytest.raises(TypeError) as caught:
+        certificates.Table(*args)
+    assert str(caught.value) == message
 
 
 def test_check_tells_bools_from_ints():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from bidouble.certificates import Table
 from bidouble.classifier import (
     MAX_K2,
     ClassifierError,
@@ -96,6 +97,26 @@ def test_stage_two_needs_positive_degree():
             enumerate_m_triples(k2, (1, 1, 1))
         with pytest.raises(ClassifierError, match="positive K\\^2 required"):
             enumerate_m_triples_trace(k2, (5, 3, 1))
+
+
+def test_stage_two_refuses_what_stage_one_refuses():
+    # a degree above the cap, and a k_i outside 0..K^2, which is never a
+    # case, are refused before any walk: the m-domain grows with k alone,
+    # so the traced walk over a large k would build millions of rejections
+    for k2, k, message in (
+        (MAX_K2 + 1, (1, 1, 1), f"above the supported maximum {MAX_K2}"),
+        (801, (801, 799, 799), f"above the supported maximum {MAX_K2}"),
+        (7, (801, 799, 799), "outside 0..K\\^2 = 7"),
+        (7, (9, 5, 5), "outside 0..K\\^2 = 7"),
+        (7, (7, 5, -1), "outside 0..K\\^2 = 7"),
+    ):
+        with pytest.raises(ClassifierError, match=message):
+            enumerate_m_triples(k2, k)
+        with pytest.raises(ClassifierError, match=message):
+            enumerate_m_triples_trace(k2, k)
+    # a k inside 0..K^2 that stage one refuses is still walked
+    assert enumerate_m_triples(7, (7, 7, 7)) == []
+    assert enumerate_m_triples(MAX_K2, (0, 0, 0)) == []
 
 
 def test_stage_one_refuses_degree_above_cap():
@@ -219,18 +240,23 @@ def test_classify_k7_table():
 def test_certificate_survivor_rows_are_the_classified_cases():
     # the certificate writes its survivor rows from the stage-two walk with
     # no NumericalCase; at every degree they are the cases' own dicts, key
-    # order included (markdown cells keep it), and each det A the walk
-    # computed is the closed form of the row's m
+    # order included (markdown cells keep it), as dicts at K^2 = 7 and as
+    # the rows of a table, their triples as tuples, elsewhere; and each
+    # det A the walk computed is the closed form of the row's m
     for k2 in range(1, MAX_K2 + 1):
         rows = classification_certificate(k2).rows
         if k2 == 7:  # table/count, then one table/* row per reference case
-            survivors = [r.computed for r in rows[1:]]
+            survivors = [list(r.computed.items()) for r in rows[1:]]
         else:
             assert rows[1].row_id == "table/unvalidated"
-            survivors = rows[1].computed
-        expected = [c.to_json_dict() for c in classify(k2)]
-        assert [list(d.items()) for d in survivors] == [list(d.items()) for d in expected], k2
-        for d in survivors:
+            table = rows[1].computed
+            assert type(table) is Table, k2
+            survivors = [[(key, list(cell) if type(cell) is tuple else cell)
+                          for key, cell in zip(table.keys, row)] for row in table.rows]
+        expected = [list(c.to_json_dict().items()) for c in classify(k2)]
+        assert survivors == expected, k2
+        for items in survivors:
+            d = dict(items)
             assert d["detA"] == branch_matrix_determinant(tuple(reversed(d["m"]))), (k2, d)
 
 

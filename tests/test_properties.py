@@ -10,8 +10,11 @@ from __future__ import annotations
 import random
 from itertools import permutations, product
 
+import pytest
+
 from bidouble.classifier import (
     MAX_K2,
+    ClassifierError,
     _m_domain,
     _m_failure,
     branch_matrix_determinant,
@@ -158,27 +161,35 @@ def test_stage_two_domain_against_full_box():
 
 
 def test_bounded_search_against_domain_brute_force():
-    # the closed-form bounds of the search are exact for any k, ordered or
-    # not, of either parity and whether or not stage one keeps it: the
-    # survivors are one member of each k-stabiliser orbit of the domain m
-    # that pass every filter of _m_failure
+    # the closed-form bounds of the search are exact for any k in 0..K^2,
+    # ordered or not, of either parity and whether or not stage one keeps
+    # it: the survivors are one member of each k-stabiliser orbit of the
+    # domain m that pass every filter of _m_failure; a k_i above K^2 is
+    # never a case, and stage two refuses it
     rng = random.Random(SEED + 5)
-    nonempty = 0
+    nonempty = refused = 0
     for _ in range(TRIALS):
         k2 = rng.randint(1, 12)
         k = tuple(rng.randint(0, k2 + 2) for _ in range(3))
+        if max(k) > k2:
+            for enumerate_cases in (enumerate_m_triples, enumerate_m_triples_trace):
+                with pytest.raises(ClassifierError, match="outside 0..K"):
+                    enumerate_cases(k2, k)
+            refused += 1
+            continue
         expected = {m for m in _m_domain(k) if _m_failure(k2, k, m) is None}
         assert_one_case_per_orbit(k2, k, expected)
         nonempty += bool(expected)
-    assert nonempty > TRIALS // 10
+    assert nonempty > TRIALS // 10 and refused > TRIALS // 10
 
 
 def test_bounded_search_at_the_benchmark_degrees():
     # the degrees the benchmark classifies, above those the two tests before
-    # this one reach: for every k stage one keeps, the survivors are one
-    # member of each k-stabiliser orbit of the domain m that pass every
-    # filter, listed larger total intersection first, then reported form
-    for k2 in (15, 21, 25):
+    # this one reach, and 49, near the cap: for every k stage one keeps, the
+    # survivors are one member of each k-stabiliser orbit of the domain m
+    # that pass every filter, listed larger total intersection first, then
+    # reported form
+    for k2 in (15, 21, 25, 49):
         for k in candidate_k_triples(k2):
             expected = {m for m in _m_domain(k) if _m_failure(k2, k, m) is None}
             assert_one_case_per_orbit(k2, k, expected)

@@ -11,7 +11,12 @@ import pytest
 from bidouble import cli, fixtures  # noqa: F401  (cli loads every module, so every record class)
 from bidouble._record import Record
 from bidouble.certificates import CheckRow, canonical_json, check
-from bidouble.classifier import ClassifierError, NumericalCase, classify_with_trace
+from bidouble.classifier import (
+    ClassifierError,
+    NumericalCase,
+    classification_certificate,
+    classify_with_trace,
+)
 from bidouble.covers import compute_invariants
 from bidouble.fixtures import expectations, fixture, verify_surface
 from bidouble.lattice import DivisorClass, SurfaceLattice
@@ -159,11 +164,12 @@ def _one_of_each() -> list[Record]:
     outcome = classify_with_trace(7)
     certificate = verify_surface("dp1", fixture("dp1")[1])
     surface = surface_from_dict(surface_to_dict(SurfaceFile("dp1", config, cover)))
+    survivors = classification_certificate(15).rows[1].computed
     return [
         config.lattice, config.lattice.line(), config.curves[0], config, cover,
         compute_invariants(cover), expect, expect.fibers[0], expect.case, outcome,
         outcome.k_rejections[0], outcome.m_rejections[0], certificate, certificate.rows[0],
-        surface, fixtures._FIXTURES["dp1"],
+        survivors, surface, fixtures._FIXTURES["dp1"],
     ]
 
 
@@ -176,7 +182,7 @@ def _values(record: Record) -> tuple:
 
 def test_every_record_class_is_covered():
     assert {type(record) for record in RECORDS} == set(_record_classes())
-    assert len(RECORDS) == 16
+    assert len(RECORDS) == 17
     for record in RECORDS:
         cls = type(record)
         for method in ("__init__", "__eq__", "__hash__"):
