@@ -173,24 +173,21 @@ class _Writer:
     other type, a subclass of a built-in included, and a dict key that is
     not an exact ``str`` raise ``TypeError``, in either layout.
 
-    A dict is written from a shape cached per (key tuple, depth): the
-    order of its values and the pre-quoted heads, separator and key, in
-    front of each. The many dicts of one certificate that share their keys
-    are then neither sorted nor quoted again. The keys are type-checked
-    before the lookup, since a ``str`` subclass key equals its ``str``. The
-    cache lives as long as the writer, which is one rendering.
+    ``write`` is the one place that branches on a value's type: a list
+    and a dict write their items through it, a dict its keys sorted in the
+    canonical layout and in insertion order in the compact one, once they
+    are all checked.
 
     A ``Table``, checked when it was built, is written without a check:
     each row is one ``%`` template, built from the shape of its keys,
     filled with that row's cells. Every other list is written item by item.
     """
 
-    __slots__ = ("canonical", "parts", "shapes")
+    __slots__ = ("canonical", "parts")
 
     def __init__(self, canonical: bool) -> None:
         self.canonical = canonical
         self.parts: list[str] = []
-        self.shapes: dict = {}
 
     def text(self, value) -> str:
         parts = self.parts
@@ -233,9 +230,6 @@ class _Writer:
             parts.append("[]")
             return
         first, sep, close = self.level(depth)
-        if _EXACT_INT.issuperset(map(type, value)):  # no bools, which are ints too
-            parts.append(f"[{first}{sep.join(map(str, value))}{close}]")
-            return
         head = "[" + first
         for item in value:
             parts.append(head)
@@ -248,29 +242,16 @@ class _Writer:
         if not value:
             parts.append("{}")
             return
-        keys = tuple(value)
-        if not _EXACT_STR.issuperset(map(type, keys)):
-            bad = next(k for k in keys if type(k) is not str)
-            raise TypeError(f"a certificate dict key must be a str, not {type(bad).__name__}")
-        shape = self.shapes.get((keys, depth))
-        if shape is None:
-            shape = self.shapes[keys, depth] = self.shape(keys, depth)
-        values = tuple(value.values())
-        heads, close, (first, sep, inner_close) = shape
-        # scalars and all-int lists inline
-        for head, i in heads:
-            item = values[i]
-            cls = type(item)
-            if cls is int:
-                parts.append(f"{head}{item}")
-            elif cls is str:
-                parts.append(head + _quote(item))
-            elif (cls is list or cls is tuple) and item and _EXACT_INT.issuperset(map(type, item)):
-                parts.append(f"{head}[{first}{sep.join(map(str, item))}{inner_close}]")
-            else:
-                parts.append(head)
-                self.write(item, depth + 1)
-        parts.append(close)
+        for key in value:
+            if type(key) is not str:
+                raise TypeError(f"a certificate dict key must be a str, not {type(key).__name__}")
+        first, sep, close = self.level(depth)
+        head = "{" + first
+        for key, item in sorted(value.items()) if self.canonical else value.items():
+            parts.append(f"{head}{_quote(key)}: ")
+            self.write(item, depth + 1)
+            head = sep
+        parts.append(close + "}")
 
     def write_table(self, table: Table, depth: int) -> None:
         if not table.rows:
@@ -296,7 +277,7 @@ class _Writer:
         self.parts.append(f"[{first}{sep.join(rows)}{close}]")
 
     def shape(self, keys: tuple[str, ...], depth: int):
-        """(head and value index per key in output order, closing text, inner level)."""
+        """A table row's (head, column) per key in output order, closing text and inner level."""
         first, sep, close = self.level(depth)
         order = sorted(range(len(keys)), key=keys.__getitem__) if self.canonical else range(len(keys))
         heads = [(("{" + first if n == 0 else sep) + _quote(keys[i]) + ": ", i)

@@ -48,7 +48,7 @@ but only K^2 = 7 is validated against known geometry.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from itertools import product
+from itertools import chain, product
 from math import isqrt
 
 from ._record import Record
@@ -431,12 +431,6 @@ K7_REFERENCE = {
 }
 
 
-class ClassificationOutcome(Record):
-    cases: tuple[NumericalCase, ...]
-    k_rejections: tuple[KRejection, ...]
-    m_rejections: tuple[MRejection, ...]
-
-
 def classify(k2: int) -> list[NumericalCase]:
     """All surviving cases, in table order (k descending, then stage-two order)."""
     return [NumericalCase(k2, k, m) for k, m, _ in _survivors(k2, candidate_k_triples(k2))]
@@ -484,18 +478,12 @@ def classification_certificate(k2: int) -> Certificate:
     return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
 
 
-def classify_with_trace(k2: int) -> ClassificationOutcome:
-    """``classify`` with every rejected k and m, each with its first failing test."""
-    kept_k, k_rejections = candidate_k_triples_trace(k2)
-    cases: list[NumericalCase] = []
-    m_rejections: list[MRejection] = []
-    for k in kept_k:
-        survivors, rejections = enumerate_m_triples_trace(k2, k)
-        m_rejections.extend(rejections)
-        cases.extend(survivors)
-    return ClassificationOutcome(
-        cases=tuple(cases),
-        k_rejections=tuple(k_rejections),
-        m_rejections=tuple(m_rejections),
-    )
+def classify_with_trace(k2: int) -> Iterator[KRejection | MRejection]:
+    """Every rejected k, then the rejected m of each kept k, each with its first failing test.
 
+    The degree is checked by the call; the rejections come one at a time, in
+    that order, so a listing of them is never held whole.
+    """
+    kept_k, k_rejections = candidate_k_triples_trace(k2)
+    m_rejections = (r for k in kept_k for r in enumerate_m_triples_trace(k2, k)[1])
+    return chain(k_rejections, m_rejections)

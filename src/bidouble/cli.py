@@ -7,7 +7,8 @@ is built here; each certificate comes from the module owning its facts.
     two-stage search for a canonical degree checked against the built-in
     reference table (degree 7 only). ``--verbose`` also walks every
     candidate and lists, on stderr, each rejected one with the first test
-    it failed; m-triples with odd nodal counts are not searched.
+    it failed; m-triples with odd nodal counts are not searched. The
+    listing is streamed, each line written as the walk finds it.
 
 ``verify``
     Print ``fixtures.verify_surface`` for a bundled fixture or a surface
@@ -70,22 +71,13 @@ from types import SimpleNamespace
 
 from .certificates import Certificate, canonical_json
 from .classifier import (
-    ClassificationOutcome, ClassifierError, classification_certificate, classify_with_trace,
+    ClassifierError, KRejection, classification_certificate, classify_with_trace,
 )
 from .cohomology import deformation_certificate
 from .curves import enumerate_classes, filter_effective_against_nodal
 from .fixtures import FIXTURE_NAMES, FixtureError, fixture, verify_surface
 from .lattice import LatticeError, format_class
 from .surface_io import SurfaceFile, SurfaceFileError, load_surface, save_surface
-
-
-def _print_traces(outcome: ClassificationOutcome) -> None:
-    lines = [f"rejected k={kr.k}: {kr.reason}\n" for kr in outcome.k_rejections]
-    lines += [
-        f"rejected k={mr.k} m={mr.m_reported}: {mr.filter_name} ({mr.detail})\n"
-        for mr in outcome.m_rejections
-    ]
-    sys.stderr.write("".join(lines))
 
 
 def _emit(cert: Certificate, emit: str) -> int:
@@ -98,7 +90,12 @@ def _emit(cert: Certificate, emit: str) -> int:
 
 def cmd_classify(args: SimpleNamespace) -> int:
     if args.verbose:
-        _print_traces(classify_with_trace(args.k2))
+        for r in classify_with_trace(args.k2):  # each line as the walk finds its rejection
+            if type(r) is KRejection:
+                line = f"rejected k={r.k}: {r.reason}\n"
+            else:
+                line = f"rejected k={r.k} m={r.m_reported}: {r.filter_name} ({r.detail})\n"
+            sys.stderr.write(line)
     return _emit(classification_certificate(args.k2), args.emit)
 
 

@@ -11,8 +11,10 @@ from bidouble import certificates
 from bidouble.certificates import Certificate, _Writer, canonical_json, check, recorded
 from bidouble.cli import classification_certificate
 from bidouble.cohomology import deformation_certificate
+from bidouble.covers import CoverData
 from bidouble.fixtures import fixture, verify_surface
 from bidouble.lattice import SurfaceLattice
+from bidouble.surface_io import SurfaceFile, surface_from_dict, surface_to_dict
 
 
 def test_check_refuses_values_it_cannot_render():
@@ -103,7 +105,7 @@ def _random_value(rng: random.Random, depth: int = 0):
         return _random_scalar(rng)
     size = rng.randrange(5)
     if kind == 2:
-        # all-int lists take a shortcut in the writer, so make them common
+        # all-int lists are most of a real certificate's lists, so make them common
         if rng.random() < 0.5:
             return [rng.randrange(-9, 9) for _ in range(size)]
         items = [_random_value(rng, depth + 1) for _ in range(size)]
@@ -355,9 +357,9 @@ def test_a_key_that_would_collide_as_a_str_is_refused():
     _assert_refused({2: "b", 10: "a", "1": 1}, message)
 
 
-def test_a_str_subclass_key_is_refused_after_its_str_shape_is_cached():
-    # Label("k") == "k" and hashes alike, so the key tuple of the second row
-    # finds the shape the first row cached
+def test_a_str_subclass_key_is_refused_beside_an_equal_str_key():
+    # Label("k") == "k" and hashes alike, so a dict keyed by it looks up as
+    # the dicts around it do
     _assert_refused([{"k": 1, "j": 2}, {Label("k"): 1, "j": 2}, {"k": 1, "j": 2}],
                     "a certificate dict key must be a str, not Label")
     _assert_refused({"a": {"k": 1}, "b": {Name("k"): 1}},
@@ -430,15 +432,47 @@ def test_check_tells_bools_from_ints():
         check("x/y", "int subclass", "r", Count(3), Colour.RED)
 
 
+def _dp1_root_withheld() -> Certificate:
+    # the failing rows of a cover with no second root
+    config, cover = fixture("dp1")
+    roots = (cover.roots[0], None, cover.roots[2])
+    cert = verify_surface("dp1", CoverData(config, cover.delta, roots))
+    assert cert.failures()
+    return cert
+
+
+def _dp1_basis_reversed() -> Certificate:
+    # a surface with no expectations, so its invariants are one recorded dict
+    config, cover = fixture("dp1")
+    doc = surface_to_dict(SurfaceFile("dp1-reversed", config, cover))
+
+    def reverse(coeffs):
+        return coeffs[:1] + coeffs[:0:-1]
+
+    doc["basis"] = reverse(doc["basis"])
+    for curve in doc["curves"]:
+        curve["class"] = reverse(curve["class"])
+    doc["cover"]["roots"] = [reverse(root) for root in doc["cover"]["roots"]]
+    cert = verify_surface("dp1-reversed", surface_from_dict(doc).cover)
+    (row,) = [r for r in cert.rows if r.row_id == "invariant/values"]
+    assert len(row.computed) == 15
+    return cert
+
+
 @pytest.mark.parametrize("make", [
     lambda: classification_certificate(7),
     lambda: classification_certificate(21),
+    lambda: classification_certificate(50),
     lambda: verify_surface("dp1", fixture("dp1")[1]),
     lambda: verify_surface("inoue", fixture("inoue")[1]),
+    _dp1_root_withheld,
+    _dp1_basis_reversed,
     lambda: deformation_certificate("dp1"),
     lambda: deformation_certificate("inoue"),
-], ids=["classify-7", "classify-21", "verify-dp1", "verify-inoue", "report-dp1", "report-inoue"])
+], ids=["classify-7", "classify-21", "classify-50", "verify-dp1", "verify-inoue",
+        "verify-dp1-root-withheld", "verify-dp1-basis-reversed", "report-dp1", "report-inoue"])
 def test_certificate_json_matches_stdlib_encoding(make):
+    # both layouts of every value of a real certificate, against json.dumps
     cert = make()
     doc = {
         "title": cert.title,
@@ -456,3 +490,11 @@ def test_certificate_json_matches_stdlib_encoding(make):
         ],
     }
     assert cert.to_json() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    lines = [f"# {cert.title}", "", "| id | description | ref | computed | expected | status |",
+             "| --- | --- | --- | --- | --- | --- |"]
+    for row in doc["rows"]:
+        expected = "" if row["status"] == "recorded" else json.dumps(row["expected"])
+        lines.append(f"| {row['id']} | {row['description']} | {row['ref']} "
+                     f"| {json.dumps(row['computed'])} | {expected} | {row['status']} |")
+    lines += ["", f"overall: {cert.overall} ({len(cert.rows)} rows)"]
+    assert cert.to_markdown() == "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ from bidouble.certificates import Table
 from bidouble.classifier import (
     MAX_K2,
     ClassifierError,
+    MRejection,
     NumericalCase,
     _k_domain,
     _k_failure,
@@ -178,8 +179,7 @@ def test_m_rejection_traces():
 
 def test_even_k_domain_includes_zero():
     # m_i = 0 is allowed for even k_i; at K^2 = 8 some candidates have it
-    rejections = classify_with_trace(8).m_rejections
-    assert any(0 in r.m for r in rejections)
+    assert any(0 in r.m for r in classify_with_trace(8) if type(r) is MRejection)
 
 
 def test_survivor_canonical_under_k_symmetry():
@@ -261,10 +261,17 @@ def test_certificate_survivor_rows_are_the_classified_cases():
 
 
 def test_classify_trace_flags_validation():
-    outcome = classify_with_trace(7)
-    assert len(outcome.cases) == 5
-    other = classify_with_trace(5)
-    assert all(c.status == "open" for c in other.cases)
+    # stage one's rejections, then stage two's of each kept k; a degree the
+    # search refuses is refused by the call, before any rejection. The cases
+    # are classify's (test_classify_k7_table, test_every_case_classify_emits_is_sound)
+    for k2 in (7, 5):
+        kept, expected = candidate_k_triples_trace(k2)
+        for k in kept:
+            expected += enumerate_m_triples_trace(k2, k)[1]
+        assert list(classify_with_trace(k2)) == expected, k2
+    for k2 in (0, MAX_K2 + 1):
+        with pytest.raises(ClassifierError):
+            classify_with_trace(k2)
 
 
 def test_numerical_case_consistency_enforced():

@@ -15,6 +15,7 @@ import runpy
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -112,6 +113,37 @@ def test_cli_serves_the_classifier_certificate():
 def test_classify_verbose_lists_k_rejections(capsys):
     _, _, err = run(capsys, "classify", "--k2", "7", "--verbose")
     assert "rejected k=(7, 7, 5): character dimension integrality" in err
+
+
+class _Sink:
+    """A stream that keeps nothing but the number of lines written to it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text):
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_classify_verbose_streams_its_listing(monkeypatch):
+    # each rejection line is written as the walk finds it, so the 6,299
+    # lines at K^2 = 20 (2.8 MB of records when all were kept) are never held whole
+    out, err = _Sink(), _Sink()
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    tracemalloc.start()
+    try:
+        code = main(["classify", "--k2", "20", "--verbose"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert (err.lines, out.lines) == (6299, 8)
+    assert peak < 0.5 * 2**20, peak
 
 
 def test_verify_fixtures(capsys):
