@@ -115,15 +115,12 @@ class KRejection(Record):
 
 
 def _k_domain(k2: int) -> list[Triple]:
-    lo = 1 if k2 % 2 else 0
-    values = range(lo, k2 + 1, 2)
-    triples = []
-    for k1 in values:
-        for k2_ in range(lo, k1 + 1, 2):
-            for k3 in range(lo, k2_ + 1, 2):
-                triples.append((k1, k2_, k3))
-    triples.sort(reverse=True)
-    return triples
+    # the non-increasing triples with k_i = K^2 (mod 2) in 0..K^2, descending
+    lo = k2 % 2
+    return [(k1, k2_, k3)
+            for k1 in range(k2, lo - 1, -2)
+            for k2_ in range(k1, lo - 1, -2)
+            for k3 in range(k2_, lo - 1, -2)]
 
 
 def _k_failure(k2: int, k: Triple) -> str | None:

@@ -12,7 +12,9 @@ For each admissible degree a this is a bounded integer program solved by
 depth-first search with a Cauchy-Schwarz prune. The degree range itself
 comes from the same inequality applied to all n slots at once; it is a
 finite interval precisely because K^2 = 9 - n is positive, which is why
-lattices with n >= 9 are rejected up front.
+lattices with n >= 9 are rejected up front. Degrees ascend and so do each
+slot's values, so the walk meets the classes in lexicographic order of
+their coefficients, which is the output order: nothing sorts them.
 
 The configuration side is bookkeeping: named classes tagged with a role
 (nodal, minus_one, fiber, branch_component, other), with the numerically
@@ -77,49 +79,45 @@ def _degree_range(n: int, s: int) -> range:
 
 
 def _solve_sum_square(n: int, target_sum: int, target_sq: int) -> list[tuple[int, ...]]:
-    """All b in Z^n with sum(b)=target_sum and sum(b^2)=target_sq, sorted."""
-    if target_sq < 0:
-        return []
-    if (target_sum - target_sq) % 2:
-        # b and b^2 always share parity, so the two targets must too
-        return []
+    """All b in Z^n with sum(b)=target_sum and sum(b^2)=target_sq, in lexicographic order.
+
+    One depth-first walk, each slot ascending. A slot is entered only when
+    Cauchy-Schwarz holds for the slots left, remaining_sum^2 <= slots *
+    remaining_sq, and the last slot is the remaining sum, kept when its
+    square is the remaining square.
+    """
     out: list[tuple[int, ...]] = []
     prefix: list[int] = []
 
     def descend(slots: int, remaining_sum: int, remaining_sq: int) -> None:
-        if slots == 0:
-            if remaining_sum == 0 and remaining_sq == 0:
-                out.append(tuple(prefix))
+        if slots == 1:
+            if remaining_sum * remaining_sum == remaining_sq:
+                out.append((*prefix, remaining_sum))
             return
         bound = isqrt(remaining_sq)
         for b in range(-bound, bound + 1):
             rs = remaining_sum - b
             rq = remaining_sq - b * b
-            if rq < 0:
-                continue
-            if slots == 1:
-                if rs == 0 and rq == 0:
-                    prefix.append(b)
-                    out.append(tuple(prefix))
-                    prefix.pop()
-                continue
-            if rs * rs > (slots - 1) * rq:
-                continue
-            prefix.append(b)
-            descend(slots - 1, rs, rq)
-            prefix.pop()
+            if rs * rs <= (slots - 1) * rq:
+                prefix.append(b)
+                descend(slots - 1, rs, rq)
+                prefix.pop()
 
-    descend(n, target_sum, target_sq)
+    if n == 0:  # the plane itself: only the empty b, and only for zero targets
+        return [()] if target_sum == target_sq == 0 else []
+    if target_sum * target_sum <= n * target_sq:
+        descend(n, target_sum, target_sq)
     return out
 
 
 def enumerate_classes(lattice: SurfaceLattice, self_sq: int) -> list[DivisorClass]:
-    """All genus-zero classes of the given self-intersection, sorted.
+    """All genus-zero classes of the given self-intersection, in coefficient order.
 
-    Sorting is by the full coefficient tuple (degree first), which makes
-    the output order reproducible across runs and platforms. The list is
-    finite only on lattices with K^2 > 0; larger lattices raise, and so
-    does a self-intersection outside ``MIN_SELFINT..MAX_SELFINT``.
+    The order is lexicographic in the full coefficient tuple (degree
+    first), the order the walk finds them in, so it is reproducible across
+    runs and platforms without a sort. The list is finite only on lattices
+    with K^2 > 0; larger lattices raise, and so does a self-intersection
+    outside ``MIN_SELFINT..MAX_SELFINT``.
     """
     n = lattice.n
     if n >= 9:
@@ -138,7 +136,6 @@ def enumerate_classes(lattice: SurfaceLattice, self_sq: int) -> list[DivisorClas
         target_sq = a * a - self_sq
         for b in _solve_sum_square(n, target_sum, target_sq):
             found.append(lattice.divisor((a,) + b))
-    found.sort(key=lambda c: c.coeffs)
     return found
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from bidouble.classifier import NumericalCase, classify
 from bidouble.covers import (
     CoverData,
     CoverError,
@@ -159,6 +160,17 @@ def test_swap_names_are_names_the_expectations_use():
         cert = run_verification(cover, expectations_with("inoue", swap=swap),
                                 "fixture verification: inoue")
         assert [(r.row_id, r.computed) for r in cert.failures()] == [("fixture/names", missing)]
+
+
+def test_case_the_classifier_does_not_emit_fails_the_table_row():
+    # (5, 5, 3) with m = (1, 1, 3) has even nodal counts but M^2 = -2 < 0
+    _, cover = fixture("dp1")
+    case = NumericalCase(7, (5, 5, 3), (1, 1, 3))
+    assert case not in classify(7)
+    cert = run_verification(cover, expectations_with("dp1", case=case), "unlisted case: dp1")
+    (row,) = [r for r in cert.rows if r.row_id == "case/table"]
+    assert (row.computed, row.expected, row.status) == (0, 1, "fail")
+    assert "case/status" not in {r.row_id for r in cert.rows}
 
 
 def test_verification_refuses_broken_building_data():

@@ -11,6 +11,7 @@ from bidouble.curves import (
     FiberDecomposition,
     NamedCurve,
     _degree_range,
+    _solve_sum_square,
     enumerate_classes,
     filter_effective_against_nodal,
     verify_fiber_decomposition,
@@ -39,7 +40,10 @@ def brute_force_classes(lattice: SurfaceLattice, s: int) -> list[tuple[int, ...]
     return sorted(out)
 
 
-@pytest.mark.parametrize("n,s", [(2, -1), (2, -2), (3, -1), (3, -2)])
+@pytest.mark.parametrize(
+    "n,s",
+    [(2, -1), (2, -2), (3, -1), (3, -2)] + [(n, s) for n in (0, 1) for s in range(-6, 4)],
+)
 def test_enumeration_matches_brute_force(n, s):
     lat = make(n)
     got = [c.coeffs for c in enumerate_classes(lat, s)]
@@ -58,6 +62,26 @@ def test_degree_range_is_exactly_the_cauchy_schwarz_interval():
             assert not want or (want[0] > window[0] and want[-1] < window[-1])
 
 
+def test_solve_sum_square_matches_product():
+    # every b in a box holding all solutions, in itertools.product's order,
+    # which is lexicographic; the box is empty when target_sq < 0
+    for n in range(5):
+        for target_sq in range(-3, 9):
+            box = range(-math.isqrt(max(target_sq, 0)), math.isqrt(max(target_sq, 0)) + 1)
+            for target_sum in range(-7, 8):
+                want = [b for b in itertools.product(box, repeat=n)
+                        if sum(b) == target_sum and sum(x * x for x in b) == target_sq]
+                got = _solve_sum_square(n, target_sum, target_sq)
+                assert got == want, (n, target_sum, target_sq)
+                # b and b^2 share parity, and no square sum is negative
+                if (target_sum - target_sq) % 2 or target_sq < 0:
+                    assert got == [], (n, target_sum, target_sq)
+
+
+def sigma3(m: int) -> int:
+    return sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+
+
 def test_enumeration_counts():
     # classical counts on the plane blown up in n general points:
     # (-1)-classes and roots (square -2, K-degree 0) for n = 0..8
@@ -68,10 +92,19 @@ def test_enumeration_counts():
         assert len(enumerate_classes(make(n), -2)) == roots[n]
     # conic classes on the degree-one del Pezzo
     assert len(enumerate_classes(make(8), 0)) == 2160
+    # on I_{1,8}, x -> x + (s + 2)K maps the genus-zero classes of square s
+    # one to one onto the E8 vectors of norm s^2 + 3s + 4, which the E8
+    # theta series counts: 240 sigma_3(norm / 2)
+    for s in range(-4, 2):
+        assert len(enumerate_classes(make(8), s)) == 240 * sigma3((s * s + 3 * s + 4) // 2), s
+    # the plane: the line is its only genus-zero class of any supported square
+    for s in range(-6, 4):
+        assert [c.coeffs for c in enumerate_classes(make(0), s)] == ([(1,)] if s == 1 else []), s
 
 
-@pytest.mark.parametrize("n,s", [(6, -1), (6, -2), (8, -1), (8, -2)])
+@pytest.mark.parametrize("n,s", [(6, s) for s in range(-6, 4)] + [(8, -1), (8, -2)])
 def test_enumeration_output_is_sound(n, s):
+    # nothing sorts the output: its order is the walk's own
     lat = make(n)
     classes = enumerate_classes(lat, s)
     assert len(set(c.coeffs for c in classes)) == len(classes)
