@@ -25,13 +25,15 @@ exact ``str``, or a ``Table``. Anything else raises ``TypeError``: a
 float, a subclass of a built-in (an ``IntEnum``, an ``OrderedDict``) and
 a key of any other type alike.
 
-A ``Table`` is a declared list of dicts: a tuple of keys and rows of
-cells, one cell per key. A cell is an exact int, an exact str or a
-non-empty tuple of exact ints, and a column holds one kind of cell (and
-tuples of one length). It is checked once, when it is built, and is
-written as the list of dicts it stands for, one ``%`` template per row.
-The writer detects no tables: any other list, a list of dicts included,
-is written item by item.
+A ``Table`` is a declared list of dicts, held as flat columns: its keys,
+a width per key (0 for a key whose cells are exact ints or exact strs,
+w for one whose cells are tuples of w exact ints) and one column per
+width-0 key or per tuple position. A column of one cell stands for that
+cell in every row. A table is checked once, when it is built, and is
+written as the list of dicts it stands for, one ``%`` template per row,
+with its one-cell columns written into the template once. The writer
+detects no tables: any other list, a list of dicts included, is written
+item by item.
 
 ``check`` compares the canonical texts of its two values, so a row passes
 only when both are the same JSON: ``true`` is not ``1``.
@@ -39,6 +41,7 @@ only when both are the same JSON: ``true`` is not ``1``.
 
 from __future__ import annotations
 
+from itertools import accumulate, islice
 from json.encoder import encode_basestring_ascii as _quote
 
 from ._record import Record
@@ -70,48 +73,73 @@ def recorded(row_id: str, description: str, ref: str, value) -> CheckRow:
 
 
 class Table(Record):
-    """A list of dicts that share one key tuple, declared as such (see the module docstring).
+    """A list of dicts that share one key tuple, declared as flat columns (see the module docstring).
 
-    ``rows`` holds one tuple of cells per dict, in the order of ``keys``.
+    ``widths`` holds one entry per key: 0 for a key whose cells are exact
+    ints or exact strs, w for one whose cells are tuples of w exact ints.
+    ``columns`` holds one column per width-0 key and one per position of
+    every other key, in the order of ``keys``. A column of one cell stands
+    for that cell in every row; every other column has the table's length,
+    and a table with no rows has only empty columns.
+
     Building one checks it, one pass per column, and raises ``TypeError``
     for what the writer refuses (a key that is not an exact ``str``, a
     cell that is not certificate data), with the writer's message, and for
-    whatever else is not a table: no key or a repeated one, a row that is
-    not a tuple of one cell per key, and a column that is not all exact
-    ints, all exact strs or all non-empty tuples of exact ints of one
-    length. Writing one checks nothing again.
+    whatever else is not a table: no key or a repeated one, a width that is
+    not an exact int from 0, a column count that the widths do not give, a
+    column that is not a list or tuple of the table's length or of one
+    cell, and a column that is not all exact ints (or, at width 0, all
+    exact strs). Writing one checks nothing again.
     """
 
     keys: tuple[str, ...]
-    rows: tuple[tuple, ...]
+    widths: tuple[int, ...]
+    columns: tuple[tuple, ...]
 
     def __post_init__(self) -> None:
-        keys, rows = tuple(self.keys), tuple(self.rows)
-        object.__setattr__(self, "keys", keys)
-        object.__setattr__(self, "rows", rows)
+        keys, widths, columns = tuple(self.keys), tuple(self.widths), tuple(self.columns)
         for key in keys:
             if type(key) is not str:
                 raise TypeError(f"a certificate dict key must be a str, not {type(key).__name__}")
-        if (not keys or len(set(keys)) < len(keys)
-                or not all(type(row) is tuple and len(row) == len(keys) for row in rows)):
+        if not keys or len(set(keys)) < len(keys):
             raise TypeError("a table has one or more distinct keys and rows of one cell per key")
-        # each column with its kind: int or str and the column, or the length
-        # of its int tuples and the column of each position
-        columns = []
-        for key, column in zip(keys, zip(*rows)):
-            kinds = set(map(type, column))
-            if kinds == _EXACT_INT or kinds == _EXACT_STR:
-                columns.append((kinds.pop(), column))
-                continue
-            positions = ()
-            if kinds == _EXACT_TUPLE and len(set(map(len, column))) == 1:
-                positions = tuple(zip(*column))
-            if not positions or not all(_EXACT_INT.issuperset(map(type, p)) for p in positions):
-                _Writer(True).text(column)  # what the writer refuses, a float say, as it does
-                raise TypeError(f"table column {key!r} is not all exact ints, all exact strs "
-                                "or all non-empty tuples of exact ints of one length")
-            columns.append((len(positions), positions))
-        object.__setattr__(self, "_columns", tuple(columns))
+        if len(widths) != len(keys) or not all(type(w) is int and w >= 0 for w in widths):
+            raise TypeError("a table has one width per key, an exact int from 0")
+        count = sum(w or 1 for w in widths)
+        if len(columns) != count:
+            raise TypeError("a table has one column per width-0 key and per tuple position: "
+                            f"{count}, not {len(columns)}")
+        length = max(len(c) if type(c) in _SEQUENCES else 0 for c in columns)
+        flat = []
+        for key, width in zip(keys, widths):
+            for column in columns[len(flat):len(flat) + (width or 1)]:
+                if type(column) not in _SEQUENCES or len(column) not in (length, 1):
+                    _Writer(True).text(column)  # what the writer refuses, a float say, as it does
+                    raise TypeError(f"table column {key!r} is not a list or tuple of the "
+                                    f"table's length ({length}) or of one cell")
+                kinds = set(map(type, column))
+                if not (kinds <= _EXACT_INT or (width == 0 and kinds == _EXACT_STR)):
+                    _Writer(True).text(column)
+                    raise TypeError(f"table column {key!r} is not all exact ints, all exact strs "
+                                    "or all non-empty tuples of exact ints of one length")
+                flat.append(tuple(column))
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "columns", tuple(flat))
+
+    @property
+    def length(self) -> int:
+        """The number of rows: the longest column's length."""
+        return max(map(len, self.columns))
+
+    def dicts(self) -> list[dict]:
+        """The list of dicts the table stands for, a tuple key's cells as lists."""
+        length, columns = self.length, iter(self.columns)
+        cells = []
+        for width in self.widths:
+            group = [c * length if len(c) == 1 else c for c in islice(columns, width or 1)]
+            cells.append(group[0] if width == 0 else map(list, zip(*group)))
+        return [dict(zip(self.keys, row)) for row in zip(*cells)]
 
 
 class Certificate(Record):
@@ -162,7 +190,7 @@ def canonical_json(obj) -> str:
 
 _EXACT_INT = frozenset((int,))
 _EXACT_STR = frozenset((str,))
-_EXACT_TUPLE = frozenset((tuple,))
+_SEQUENCES = (list, tuple)
 _COMPACT = ("", ", ", "")
 
 
@@ -179,8 +207,9 @@ class _Writer:
     are all checked.
 
     A ``Table``, checked when it was built, is written without a check:
-    each row is one ``%`` template, built from the shape of its keys,
-    filled with that row's cells. Every other list is written item by item.
+    each row is one ``%`` template, built from the shape of its keys and
+    holding its one-cell columns, filled with that row's cells of the other
+    columns. Every other list is written item by item.
     """
 
     __slots__ = ("canonical", "parts")
@@ -254,26 +283,30 @@ class _Writer:
         parts.append(close + "}")
 
     def write_table(self, table: Table, depth: int) -> None:
-        if not table.rows:
+        length = table.length
+        if not length:
             self.parts.append("[]")
             return
         first, sep, close = self.level(depth)
         heads, row_close, (inner_first, inner_sep, inner_close) = self.shape(table.keys, depth + 1)
+        columns, widths = table.columns, table.widths
+        starts = list(accumulate((width or 1 for width in widths), initial=0))
         template, args = [], []
         for head, i in heads:
-            kind, cells = table._columns[i]
+            cells = []
+            for column in columns[starts[i]:starts[i + 1]]:
+                if len(column) == 1:  # the same cell in every row: written once, into the template
+                    cell = column[0]
+                    cells.append((_quote(cell) if type(cell) is str else str(cell)).replace("%", "%%"))
+                else:
+                    cells.append("%s")
+                    args.append(map(_quote, column) if type(column[0]) is str else column)
             template.append(head.replace("%", "%%"))  # a key may hold a %
-            if kind is int:
-                template.append("%s")
-                args.append(cells)
-            elif kind is str:
-                template.append("%s")
-                args.append(map(_quote, cells))
-            else:
-                template.append(f"[{inner_first}{inner_sep.join(['%s'] * kind)}{inner_close}]")
-                args.extend(cells)
+            template.append(cells[0] if widths[i] == 0
+                            else f"[{inner_first}{inner_sep.join(cells)}{inner_close}]")
         template.append(row_close)
-        rows = map("".join(template).__mod__, zip(*args))
+        template = "".join(template)
+        rows = map(template.__mod__, zip(*args)) if args else [template % ()]
         self.parts.append(f"[{first}{sep.join(rows)}{close}]")
 
     def shape(self, keys: tuple[str, ...], depth: int):

@@ -28,17 +28,20 @@ rejected candidate, the first test it fails in filter order; that walk
 is also the oracle the bounded search is tested against.
 
 ``enumerate_m_triples`` and ``classify`` build a ``NumericalCase`` per
-survivor; stage two refuses what stage one refuses (a K^2 outside
-1..``MAX_K2``) and any k_i outside 0..K^2, which is never a case.
-``classification_certificate`` builds none: it takes each survivor's row
-from the walk's (k, m, det A) with ``_case_cells``, the one definition of
-a case's row (its keys are ``_CASE_KEYS``). At K^2 = 7 the rows are dicts
-(``_case_row``, which ``NumericalCase.to_json_dict`` calls too), checked
-against ``K7_REFERENCE``, the published K^2 = 7 table and the one place a
-status is written. At any other K^2 they are the rows of one
-``certificates.Table``, a declared table that is checked once, when it is
-built, and written without a dict per survivor (the writer detects no
-tables: a list of dicts is written dict by dict).
+survivor; stage two refuses what stage one refuses (a K^2 that is not an
+exact int or lies outside 1..``MAX_K2``) and any k_i outside 0..K^2, which
+is never a case.
+``classification_certificate`` builds none: it fills one
+``certificates.Table`` of flat columns (``_case_table``, the one
+definition of a case's row) in one pass over the walk's (k, m, det A),
+and the columns that hold one value in every row (K^2, the R_i^2 and,
+away from K^2 = 7, the status) hold it once. At K^2 = 7 the rows are the
+dicts of that table, checked against the dicts of one table of
+``K7_REFERENCE``, the published K^2 = 7 table and the one place a status
+is written; ``NumericalCase.to_json_dict`` is the one row of a table too.
+At any other K^2 the table is the certificate's value: it is checked
+once, when it is built, and written without a dict per survivor (the
+writer detects no tables: a list of dicts is written dict by dict).
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -140,6 +143,8 @@ def _k_failure(k2: int, k: Triple) -> str | None:
 
 
 def _check_degree(k2: int) -> None:
+    if type(k2) is not int:  # True would run as K^2 = 1, and 7.0 fail inside range()
+        raise ClassifierError(f"K^2 must be an exact int, not {type(k2).__name__}")
     if k2 < 1:
         raise ClassifierError("positive K^2 required")
     if k2 > MAX_K2:
@@ -387,31 +392,50 @@ class NumericalCase(Record):
         return _status(self.k2, self.k, self.m)
 
     def to_json_dict(self) -> dict:
-        return _case_row(self.k2, self.k, self.m, self.det_a)
+        return _case_table(self.k2, [(self.k, self.m, self.det_a)]).dicts()[0]
 
 
 def _status(k2: int, k: Triple, m: Triple) -> str:
     return K7_REFERENCE.get((k, m), "open") if k2 == 7 else "open"
 
 
-# The keys of a case's row, in the order of the markdown cell.
+# The keys of a case's row, in the order of the markdown cell, and their widths:
+# 0 for an int or str cell, 3 for a triple.
 _CASE_KEYS = ("K2", "k", "m", "r", "l", "KSigma2", "detA", "status")
+_CASE_WIDTHS = (0, 3, 3, 3, 3, 0, 0, 0)
 
 
-def _case_cells(k2: int, k: Triple, m: Triple, det: int) -> tuple:
-    """A case's row as cells in ``_CASE_KEYS`` order, given its det A.
+def _case_table(k2: int, cases) -> Table:
+    """The rows of the cases (k, m, det A) at K^2 = k2, as one table.
 
     The one definition of a case's row: the certificate's survivor table
-    takes these cells as they are, and ``_case_row`` makes a dict of them.
+    is this table of the stage-two walk, and every case dict is a row of
+    one (``Table.dicts``). Per case it appends eleven ints: k, reported m,
+    l, K_Sigma^2 and det A. K^2, the R_i^2 and, at a K^2 other than 7, the
+    status are the same in every row, so they are one-cell columns.
     """
-    l = _l_of(k, m)  # derived once for both of its entries
-    return (k2, k, (m[2], m[1], m[0]), R_SQUARES, l, k2 - sum(l), det, _status(k2, k, m))
-
-
-def _case_row(k2: int, k: Triple, m: Triple, det: int) -> dict:
-    """A case as a certificate dict, its triples as lists (``NumericalCase.to_json_dict``)."""
-    return {key: list(cell) if type(cell) is tuple else cell
-            for key, cell in zip(_CASE_KEYS, _case_cells(k2, k, m, det))}
+    if k2 == 7:
+        cases = list(cases)
+        status = [_status(k2, k, m) for k, m, _ in cases]
+    ka, kb, kc, ma, mb, mc, la, lb, lc, sigma, det = columns = [[] for _ in range(11)]
+    for (k1, k2_, k3), (m1, m2, m3), d in cases:
+        ka.append(k1)
+        kb.append(k2_)
+        kc.append(k3)
+        ma.append(m3)
+        mb.append(m2)
+        mc.append(m1)
+        l1, l2, l3 = (k1 + 4 - m1) // 2, (k2_ + 4 - m2) // 2, (k3 + 4 - m3) // 2
+        la.append(l1)
+        lb.append(l2)
+        lc.append(l3)
+        sigma.append(k2 - l1 - l2 - l3)
+        det.append(d)
+    one = 1 if det else 0  # a table with no rows has only empty columns
+    if k2 != 7:
+        status = ["open"] * one
+    return Table(_CASE_KEYS, _CASE_WIDTHS,
+                 ([k2] * one, *columns[:6], *([r] * one for r in R_SQUARES), *columns[6:], status))
 
 
 # The published K^2 = 7 classification, in table order, from (k, m) (m in
@@ -442,19 +466,20 @@ def classification_certificate(k2: int) -> Certificate:
     """
     survivors = _survivors(k2, candidate_k_triples(k2))
     if k2 == 7:
-        by_key = {(k, m): _case_row(k2, k, m, det) for k, m, det in survivors}
+        survivors = list(survivors)
+        by_key = dict(zip([(k, m) for k, m, _ in survivors], _case_table(k2, survivors).dicts()))
+        reference = [(k, m, branch_matrix_determinant(m)) for k, m in K7_REFERENCE]
         rows = [
             check("table/count", "number of surviving numerical cases",
                   "classification table", len(by_key), len(K7_REFERENCE))
         ]
-        for k, m in K7_REFERENCE:
+        for (k, m), expected in zip(K7_REFERENCE, _case_table(k2, reference).dicts()):
             kk = ".".join(map(str, k))
             mm = ".".join(map(str, reversed(m)))
             rows.append(
                 check(f"table/{kk}-{mm}",
                       f"case k=({kk}) m=({mm}) matches the reference row",
-                      "classification table", by_key.pop((k, m), None),
-                      _case_row(7, k, m, branch_matrix_determinant(m)))
+                      "classification table", by_key.pop((k, m), None), expected)
             )
         for i, extra in enumerate(by_key.values(), start=1):
             rows.append(
@@ -469,8 +494,7 @@ def classification_certificate(k2: int) -> Certificate:
                   "classification table", k2, 7),
             recorded("table/unvalidated",
                      "survivors for this degree are reported without validation",
-                     "classification table",
-                     Table(_CASE_KEYS, [_case_cells(k2, k, m, det) for k, m, det in survivors])),
+                     "classification table", _case_table(k2, survivors)),
         ]
     return Certificate(title=f"classification table: K2={k2}", rows=tuple(rows))
 

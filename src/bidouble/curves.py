@@ -117,7 +117,7 @@ def enumerate_classes(lattice: SurfaceLattice, self_sq: int) -> list[DivisorClas
     first), the order the walk finds them in, so it is reproducible across
     runs and platforms without a sort. The list is finite only on lattices
     with K^2 > 0; larger lattices raise, and so does a self-intersection
-    outside ``MIN_SELFINT..MAX_SELFINT``.
+    that is not an exact int or lies outside ``MIN_SELFINT..MAX_SELFINT``.
     """
     n = lattice.n
     if n >= 9:
@@ -125,6 +125,8 @@ def enumerate_classes(lattice: SurfaceLattice, self_sq: int) -> list[DivisorClas
             "class enumeration needs K^2 = 9 - n > 0; "
             f"lattice {lattice.label!r} has n = {n}"
         )
+    if type(self_sq) is not int:  # True would run as s = 1, and 1.0 fail inside range()
+        raise LatticeError(f"a self-intersection must be an exact int, not {type(self_sq).__name__}")
     if not MIN_SELFINT <= self_sq <= MAX_SELFINT:
         raise LatticeError(
             f"self-intersection {self_sq} is outside the supported range "

@@ -66,13 +66,27 @@ def _normalised(value):
     if type(value) in (list, tuple):
         return [_normalised(v) for v in value]
     if type(value) is certificates.Table:
-        return [dict(zip(value.keys, _normalised(row))) for row in value.rows]
+        return _table_dicts(value)
     if type(value) is dict:
         for key in value:
             if type(key) is not str:
                 raise TypeError(f"a certificate dict key must be a str, not {type(key).__name__}")
         return {k: _normalised(v) for k, v in value.items()}
     raise TypeError(f"a certificate value must be JSON data, not {type(value).__name__}")
+
+
+def _table_dicts(table: certificates.Table) -> list[dict]:
+    """The list of dicts a table stands for, read cell by cell off its flat columns."""
+    columns = iter(table.columns)
+    groups = [[next(columns) for _ in range(width or 1)] for width in table.widths]
+    rows = []
+    for i in range(max(len(column) for column in table.columns)):
+        def cell(column):
+            return column[0] if len(column) == 1 else column[i]
+
+        rows.append({key: cell(group[0]) if width == 0 else [cell(c) for c in group]
+                     for key, width, group in zip(table.keys, table.widths, groups)})
+    return rows
 
 
 def _stdlib(value) -> str:
@@ -227,7 +241,7 @@ def test_the_unvalidated_survivors_are_written_as_a_table(monkeypatch):
     monkeypatch.setattr(_Writer, "write_dict", spy)
     cert = classification_certificate(15)
     survivors = cert.rows[1].computed
-    assert type(survivors) is certificates.Table and len(survivors.rows) == 62
+    assert type(survivors) is certificates.Table and survivors.length == 62
     canonical_json(survivors)
     _cell(survivors)
     assert written == []
@@ -237,25 +251,36 @@ def test_the_unvalidated_survivors_are_written_as_a_table(monkeypatch):
 
 
 def _random_declared_table(rng: random.Random) -> certificates.Table:
-    """A table of up to six rows of flat columns, its int sequences as tuples; a third
-    of its columns hold one cell down the whole column, as the survivors' K2 and r do."""
+    """A table of zero to six rows: widths 0..4, each column a list or a tuple, and a
+    third of the columns of one cell, as the survivors' K2, r and status are."""
     keys = list(dict.fromkeys(_table_text(rng) for _ in range(rng.randrange(1, 6))))
+    widths = [rng.randrange(5) for _ in keys]
+    length = rng.randrange(7)
     columns = []
-    for _ in keys:
-        column = [tuple(cell) if type(cell) is list else cell for cell in _flat_column(rng, 6)]
-        columns.append(column[:1] * 6 if rng.random() < 1 / 3 else column)
-    return certificates.Table(keys, list(zip(*columns))[:rng.randrange(7)])
+    for width in widths:
+        text = width == 0 and rng.random() < 0.5
+        for _ in range(width or 1):
+            cells = [_table_text(rng) if text else _flat_int(rng) for _ in range(length)]
+            if cells and rng.random() < 1 / 3:
+                cells = cells[:1]
+            columns.append(rng.choice([list, tuple])(cells))
+    return certificates.Table(keys, widths, columns)
 
 
 def test_tables_match_stdlib_on_random_tables():
     # both layouts of a declared table, alone and at random depth, are the
-    # stdlib encoder's text for the list of dicts it stands for
+    # stdlib encoder's text for the list of dicts it stands for, which are
+    # the dicts the table derives
     rng = random.Random(20140802)
+    lengths = set()
     for _ in range(1500):
         table = _random_declared_table(rng)
+        lengths.add(table.length)
+        assert table.dicts() == _table_dicts(table), table
         for value in (table, _with_bad_leaf(rng, table)):  # the table as the "leaf"
             assert canonical_json(value) == _stdlib(value), value
             assert _cell(value) == json.dumps(_normalised(value)), value
+    assert lengths == set(range(7))
 
 
 def test_a_float_in_a_table_cell_is_refused():
@@ -388,29 +413,50 @@ def test_a_table_outside_the_rule_is_refused(table, message):
 
 # one table for each way a declared table is refused when it is built: a
 # non-str key and a cell that is not certificate data as the writer refuses
-# them, any other column that is not flat by its key
+# them, any other column that is not flat by its key, and each way its keys,
+# widths and columns fail to make one shape
 _TABLE_SHAPE = "a table has one or more distinct keys and rows of one cell per key"
+_WIDTHS = "a table has one width per key, an exact int from 0"
+_COLUMNS = "a table has one column per width-0 key and per tuple position: "
 _COLUMN = ("table column 'a' is not all exact ints, all exact strs "
            "or all non-empty tuples of exact ints of one length")
+
+
+def _length(key: str, length: int) -> str:
+    return (f"table column {key!r} is not a list or tuple of the table's length ({length}) "
+            "or of one cell")
+
+
 _NOT_A_TABLE = {
-    "float cell": ((("b", "a"), [(1, 2), (3, 1.5)]), _VALUE + "float"),
-    "float in a tuple": ((("a",), [((1, 2),), ((3, 0.5),)]), _VALUE + "float"),
-    "bool cell": ((("a",), [(1,), (True,)]), _COLUMN),
-    "bool in a tuple": ((("a",), [((1, 2),), ((3, False),)]), _COLUMN),
-    "Count cell": ((("a",), [(1,), (Count(2),)]), _VALUE + "Count"),
-    "Name cell": ((("a",), [("x",), (Name("y"),)]), _VALUE + "Name"),
-    "Span cell": ((("a",), [((1,),), (Span((2,)),)]), _VALUE + "Span"),
-    "None cell": ((("a",), [("x",), (None,)]), _COLUMN),
-    "list cell": ((("a",), [([1],), ([2],)]), _COLUMN),
-    "empty tuple": ((("a",), [((),), ((),)]), _COLUMN),
-    "int and str": ((("a",), [(1,), ("1",)]), _COLUMN),
-    "other length": ((("a",), [((1, 2),), ((3,),)]), _COLUMN),
-    "int key": ((("a", 1), [(1, 2)]), _KEY + "int"),
-    "Label key": (((Label("k"), "j"), [(1, 2)]), _KEY + "Label"),
-    "no key": (((), [(), ()]), _TABLE_SHAPE),
-    "repeated key": ((("k", "j", "k"), [(1, 2, 3)]), _TABLE_SHAPE),
-    "list row": ((("a",), [(1,), [2]]), _TABLE_SHAPE),
-    "short row": ((("a", "b"), [(1, 2), (3,)]), _TABLE_SHAPE),
+    "float cell": ((("b", "a"), (0, 0), [(1, 3), (2, 1.5)]), _VALUE + "float"),
+    "float in a tuple": ((("a",), (2,), [(1, 3), (2, 0.5)]), _VALUE + "float"),
+    "bool cell": ((("a",), (0,), [(1, True)]), _COLUMN),
+    "bool in a tuple": ((("a",), (2,), [(1, 3), (2, False)]), _COLUMN),
+    "str in a tuple": ((("a",), (2,), [(1, 3), ("2", "4")]), _COLUMN),
+    "Count cell": ((("a",), (0,), [(1, Count(2))]), _VALUE + "Count"),
+    "Name cell": ((("a",), (0,), [("x", Name("y"))]), _VALUE + "Name"),
+    "Span cell": ((("a",), (1,), [((1,), Span((2,)))]), _VALUE + "Span"),
+    "None cell": ((("a",), (0,), [("x", None)]), _COLUMN),
+    "list cell": ((("a",), (0,), [([1], [2])]), _COLUMN),
+    "empty tuple": ((("a",), (0,), [((), ())]), _COLUMN),
+    "int and str": ((("a",), (0,), [(1, "1")]), _COLUMN),
+    "other length": ((("a",), (2,), [(1, 3, 5), (2, 4)]), _length("a", 3)),
+    "int key": ((("a", 1), (0, 0), [(1,), (2,)]), _KEY + "int"),
+    "Label key": (((Label("k"), "j"), (0, 0), [(1,), (2,)]), _KEY + "Label"),
+    "no key": (((), (), []), _TABLE_SHAPE),
+    "repeated key": ((("k", "j", "k"), (0, 0, 0), [(1,), (2,), (3,)]), _TABLE_SHAPE),
+    "int column": ((("a",), (0,), [5]), _length("a", 0)),
+    "str column": ((("a", "b"), (0, 0), ["xy", ("x", "y")]), _length("a", 2)),
+    "Span column": ((("a",), (0,), [Span((1,))]), _VALUE + "Span"),
+    "short row": ((("a", "b"), (0, 0), [(1, 2, 3), (1, 2)]), _length("b", 3)),
+    "one row left empty": ((("a", "b"), (0, 0), [(1,), ()]), _length("b", 1)),
+    "negative width": ((("a",), (-1,), [(1,)]), _WIDTHS),
+    "bool width": ((("a",), (True,), [(1,)]), _WIDTHS),
+    "float width": ((("a",), (1.0,), [(1,)]), _WIDTHS),
+    "fewer widths": ((("a", "b"), (0,), [(1,), (2,)]), _WIDTHS),
+    "more widths": ((("a",), (0, 0), [(1,), (2,)]), _WIDTHS),
+    "fewer columns": ((("a", "b"), (0, 2), [(1,), (2,)]), _COLUMNS + "3, not 2"),
+    "more columns": ((("a",), (1,), [(1,), (2,)]), _COLUMNS + "1, not 2"),
 }
 
 

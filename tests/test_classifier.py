@@ -100,6 +100,30 @@ def test_stage_two_needs_positive_degree():
             enumerate_m_triples_trace(k2, (5, 3, 1))
 
 
+class Degree(int):
+    pass
+
+
+# A K^2 that is not an exact int: True ran as K^2 = 1 (and a certificate said
+# "computed": true), 7.0 and "7" raised a bare TypeError from range() or <.
+_NOT_A_DEGREE = {"bool": True, "float": 7.0, "str": "7", "int subclass": Degree(7), "None": None}
+
+
+@pytest.mark.parametrize("search", [
+    candidate_k_triples,
+    lambda k2: enumerate_m_triples(k2, (1, 1, 1)),
+    classify,
+    classification_certificate,
+    classify_with_trace,
+], ids=["candidate_k_triples", "enumerate_m_triples", "classify", "classification_certificate",
+        "classify_with_trace"])
+def test_every_search_refuses_a_degree_that_is_not_an_exact_int(search):
+    for name, k2 in _NOT_A_DEGREE.items():
+        with pytest.raises(ClassifierError) as caught:
+            search(k2)
+        assert str(caught.value) == f"K^2 must be an exact int, not {type(k2).__name__}", name
+
+
 def test_stage_two_refuses_what_stage_one_refuses():
     # a degree above the cap, and a k_i outside 0..K^2, which is never a
     # case, are refused before any walk: the m-domain grows with k alone,
@@ -239,10 +263,10 @@ def test_classify_k7_table():
 
 def test_certificate_survivor_rows_are_the_classified_cases():
     # the certificate writes its survivor rows from the stage-two walk with
-    # no NumericalCase; at every degree they are the cases' own dicts, key
-    # order included (markdown cells keep it), as dicts at K^2 = 7 and as
-    # the rows of a table, their triples as tuples, elsewhere; and each
-    # det A the walk computed is the closed form of the row's m
+    # no NumericalCase; at every degree they are the cases' rows, read off
+    # the case's own properties, key order included (markdown cells keep
+    # it), as dicts at K^2 = 7 and as the rows of a table elsewhere; and
+    # each det A the walk computed is the closed form of the row's m
     for k2 in range(1, MAX_K2 + 1):
         rows = classification_certificate(k2).rows
         if k2 == 7:  # table/count, then one table/* row per reference case
@@ -251,13 +275,33 @@ def test_certificate_survivor_rows_are_the_classified_cases():
             assert rows[1].row_id == "table/unvalidated"
             table = rows[1].computed
             assert type(table) is Table, k2
-            survivors = [[(key, list(cell) if type(cell) is tuple else cell)
-                          for key, cell in zip(table.keys, row)] for row in table.rows]
-        expected = [list(c.to_json_dict().items()) for c in classify(k2)]
+            survivors = [list(row.items()) for row in table.dicts()]
+        expected = [[("K2", c.k2), ("k", list(c.k)), ("m", list(c.m_reported)), ("r", [-1, -1, -1]),
+                     ("l", list(c.l)), ("KSigma2", c.k_sigma_sq), ("detA", c.det_a),
+                     ("status", c.status)] for c in classify(k2)]
         assert survivors == expected, k2
         for items in survivors:
             d = dict(items)
             assert d["detA"] == branch_matrix_determinant(tuple(reversed(d["m"]))), (k2, d)
+
+
+def test_the_survivor_table_holds_each_constant_once():
+    # K^2, the R_i^2 and the status are the same in every row away from
+    # K^2 = 7, so each is a column of one cell; with no survivor, every
+    # column is empty
+    for k2 in range(1, MAX_K2 + 1):
+        if k2 == 7:
+            continue
+        table = classification_certificate(k2).rows[1].computed
+        assert table.keys == ("K2", "k", "m", "r", "l", "KSigma2", "detA", "status")
+        assert table.widths == (0, 3, 3, 3, 3, 0, 0, 0)
+        count = len(classify(k2))
+        one = min(count, 1)
+        assert table.length == count, k2
+        assert [len(column) for column in table.columns] == (
+            [one] + [count] * 6 + [one] * 3 + [count] * 5 + [one]), k2
+        assert table.columns[0] == (k2,) * one and table.columns[-1] == ("open",) * one
+        assert table.columns[7:10] == ((-1,) * one,) * 3
 
 
 def test_classify_trace_flags_validation():

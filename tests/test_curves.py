@@ -143,6 +143,21 @@ def test_rank_nine_rejected():
         enumerate_classes(make(9), -1)
 
 
+class Square(int):
+    pass
+
+
+# True ran as s = 1 (the 17,520 classes of s = 1); 1.0 and "1" raised a bare TypeError
+_NOT_A_SQUARE = {"bool": True, "float": 1.0, "str": "1", "int subclass": Square(1), "None": None}
+
+
+@pytest.mark.parametrize("s", _NOT_A_SQUARE.values(), ids=_NOT_A_SQUARE)
+def test_enumeration_refuses_a_self_intersection_that_is_not_an_exact_int(s):
+    with pytest.raises(LatticeError) as caught:
+        enumerate_classes(make(8), s)
+    assert str(caught.value) == f"a self-intersection must be an exact int, not {type(s).__name__}"
+
+
 def test_nodal_filter_on_inoue_lattice():
     config, _ = fixture("inoue")
     lat = config.lattice
