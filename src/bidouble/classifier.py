@@ -19,18 +19,19 @@ bound). Everything is integer arithmetic.
 All tests but the determinant are linear bounds on m_i or on
 m_1 + m_2 + m_3, so the search solves them once per k and walks only the
 m inside those bounds, testing the determinant alone there; a k whose
-bound on m_1 + m_2 + m_3 lies below the least sum on the grid is skipped
-before its caps are computed. Index permutations fixing k only relabel a
-case, so the walk also visits just one m per orbit of them. That one
-walk, ``_survivors``, yields (k, m, det A) per surviving orbit; the
-traced variants walk the whole domain instead and report, for each
-rejected candidate, the first test it fails in filter order; that walk
-is also the oracle the bounded search is tested against.
+bounds on m_1 + m_2 + m_3 leave no sum on the grid is skipped before its
+caps are computed. Index permutations fixing k only relabel a case, so
+the walk also visits just one m per orbit of them. That one walk,
+``_survivors``, meets the cases in table order and yields (k, m, det A)
+per surviving orbit as it finds it; the traced variants walk the whole
+domain instead and report, for each rejected candidate, the first test
+it fails in filter order; that walk is also the oracle the bounded
+search is tested against.
 
 ``enumerate_m_triples`` and ``classify`` build a ``NumericalCase`` per
 survivor; stage two refuses what stage one refuses (a K^2 that is not an
-exact int or lies outside 1..``MAX_K2``) and any k_i outside 0..K^2, which
-is never a case.
+exact int or lies outside 1..``MAX_K2``), a k that is not three exact
+ints and any k_i outside 0..K^2, which is never a case.
 ``classification_certificate`` builds none: it fills one
 ``certificates.Table`` of flat columns (``_case_table``, the one
 definition of a case's row) in one pass over the walk's (k, m, det A),
@@ -38,10 +39,9 @@ and the columns that hold one value in every row (K^2, the R_i^2 and,
 away from K^2 = 7, the status) hold it once. At K^2 = 7 the rows are the
 dicts of that table, checked against the dicts of one table of
 ``K7_REFERENCE``, the published K^2 = 7 table and the one place a status
-is written; ``NumericalCase.to_json_dict`` is the one row of a table too.
-At any other K^2 the table is the certificate's value: it is checked
-once, when it is built, and written without a dict per survivor (the
-writer detects no tables: a list of dicts is written dict by dict).
+is written. At any other K^2 the table is the certificate's value: it is
+checked once, when it is built, and written without a dict per survivor
+(the writer detects no tables: a list of dicts is written dict by dict).
 
 The numbers 7 appearing in prose above are really K^2; every function
 takes K^2 as a parameter so the pipeline can be pointed at other values,
@@ -142,9 +142,17 @@ def _k_failure(k2: int, k: Triple) -> str | None:
     return None
 
 
-def _check_degree(k2: int) -> None:
-    if type(k2) is not int:  # True would run as K^2 = 1, and 7.0 fail inside range()
+def _check_exact(k2: int, *triples: Triple) -> None:
+    # True would run as 1, and 7.0 or "7" fail inside range() or <=
+    if type(k2) is not int:
         raise ClassifierError(f"K^2 must be an exact int, not {type(k2).__name__}")
+    for name, value in zip("km", triples):
+        if type(value) is not tuple or len(value) != 3 or any(type(x) is not int for x in value):
+            raise ClassifierError(f"{name} must be a tuple of three exact ints, not {value!r}")
+
+
+def _check_degree(k2: int, *triples: Triple) -> None:
+    _check_exact(k2, *triples)
     if k2 < 1:
         raise ClassifierError("positive K^2 required")
     if k2 > MAX_K2:
@@ -248,8 +256,9 @@ def _survivors(k2: int, ks) -> Iterator[tuple[Triple, Triple, int]]:
     triple index bound    sum m <= (s^2 + 3K^2) // 2K^2;
     base index bound      K_Sigma^2 = K^2 - sum l <= dk^2 // K^2;
     adjoint square        K_Sigma^2 + 2dk + K^2 >= 0.
-    Only the m inside those bounds are visited, and each is tested for a
-    square determinant.
+    The walk meets the m inside those bounds in table order, the total
+    descending, then m_3 and m_2 ascending with m_1 what is left of the
+    total, and yields each whose determinant is a square as it finds it.
     """
     for k in ks:
         ka, kb, kc = k
@@ -259,63 +268,53 @@ def _survivors(k2: int, ks) -> Iterator[tuple[Triple, Triple, int]]:
         base = 2 * (dk * dk // k2) - 2 * k2 + s + 12
         if base < hi:
             hi = base
-        floor3 = kc % 4  # the least m_3 on its grid
-        if hi < ka % 4 + kb % 4 + floor3:  # below the least sum on the grid
-            continue
+        floor1, floor2, floor3 = ka % 4, kb % 4, kc % 4  # the least m_i on their grids
         lo = s + 12 - 4 * k2 - 4 * dk
+        if lo < floor1 + floor2 + floor3:  # the least sum on the grid
+            lo = floor1 + floor2 + floor3
+        if hi < lo:
+            continue
         cap1 = min(ka + 4, 1 + (kb + kc) ** 2 // (2 * k2))
         cap2 = min(kb + 4, 1 + (ka + kc) ** 2 // (2 * k2))
         cap3 = min(kc + 4, 1 + (ka + kb) ** 2 // (2 * k2))
-        if lo > hi or floor3 > cap3:
-            continue
         # One m per orbit: m_1 <= m_3 <= m_2 on each index pair whose k agree,
         # the reporting convention (reported m_1 <= reported m_2 when the last
         # two k agree, reported m_2 >= reported m_3 when the first two do).
-        # Equal k share a residue mod 4, so the tightened starts stay on the grid.
         same12, same23, same13 = ka == kb, kb == kc, kc == ka
-        floor2 = kb % 4
-        # survivors as (-sum m, reported m, det), so one sort puts them in order
-        found = []
-        for m1 in range(ka % 4, cap1 + 1, 4):
-            # Only the m_2 whose m_3 range below is not empty, from least <= most:
-            # lo - m1 - m2 <= cap3, and <= m2 when k_3 = k_2, bound m_2 below;
-            # floor3 <= hi - m1 - m2, and m1 <= hi - m1 - m2 when k_3 = k_1, above.
-            # Every other pair of ends holds for all m_2 once the tests above passed.
-            lo1, hi1 = lo - m1, hi - m1  # the bounds on m_2 + m_3
-            start = m1 if same12 else floor2
-            least_m2 = (lo1 + 1) // 2 if same23 else start
-            if least_m2 < lo1 - cap3:
-                least_m2 = lo1 - cap3
-            most_m2 = hi1 - floor3
-            if most_m2 > cap2:
-                most_m2 = cap2
-            if same13 and most_m2 > hi1 - m1:
-                most_m2 = hi1 - m1
-            if least_m2 > start:
-                start = least_m2 + (start - least_m2) % 4
-            for m2 in range(start, most_m2 + 1, 4):
-                # lo = sum k (mod 4), so lo - m1 - m2 = k_3 (mod 4) already
-                least = lo1 - m2
-                if least < floor3:
-                    least = floor3
-                if same13 and least < m1:
-                    least = m1
-                most = hi1 - m2
-                if most > cap3:
-                    most = cap3
-                if same23 and most > m2:
-                    most = m2
-                # branch_matrix_determinant, with the terms free of m_3 taken out
-                fixed, twice = m1 * m1 + m2 * m2 - 1, 2 * m1 * m2
-                for m3 in range(least, most + 1, 4):
-                    det = fixed + m3 * (m3 + twice)
+        # the total t = sum m is s (mod 4), as every m_i is k_i (mod 4)
+        for t in range(hi - (hi - s) % 4, lo - 1, -4):
+            # the m_3 that leave m_1 + m_2 inside [floor1 + floor2, cap1 + cap2]
+            least3 = t - cap1 - cap2
+            if least3 < floor3:
+                least3 = floor3
+            least3 += (kc - least3) % 4
+            most3 = t - floor1 - floor2
+            if most3 > cap3:
+                most3 = cap3
+            for m3 in range(least3, most3 + 1, 4):
+                rest = t - m3  # m_1 + m_2, which is k_1 + k_2 (mod 4)
+                least = rest - cap1
+                if least < floor2:
+                    least = floor2
+                # the orbit lows: m_3 <= m_2, m_1 <= m_2 and m_1 <= m_3
+                if same23 and least < m3:
+                    least = m3
+                if same12 and least < (rest + 1) // 2:
+                    least = (rest + 1) // 2
+                if same13 and least < rest - m3:
+                    least = rest - m3
+                least += (kb - least) % 4
+                most = rest - floor1
+                if most > cap2:
+                    most = cap2
+                # branch_matrix_determinant with m_1 = rest - m_2, a quadratic in m_2
+                fixed, linear, square = rest * rest + m3 * m3 - 1, 2 * rest * (m3 - 1), 2 - 2 * m3
+                for m2 in range(least, most + 1, 4):
+                    det = fixed + m2 * (linear + square * m2)
                     if det >= 0:
                         root = isqrt(det)
                         if root * root == det:
-                            found.append((-(m1 + m2 + m3), m3, m2, m1, det))
-        found.sort()
-        for _, m3, m2, m1, det in found:
-            yield k, (m1, m2, m3), det
+                            yield k, (rest - m2, m2, m3), det
 
 
 def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
@@ -324,11 +323,12 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
     Triples related by an index permutation fixing k are the same case, so
     the walk visits only one member of each orbit. Order: larger total
     intersection first, then reported form ascending. A K^2 that stage one
-    refuses, or a k_i outside 0..K^2, raises ``ClassifierError``: k_i = K.R_i
-    is nonnegative because K is nef, and a k_i above K^2 makes the other two
-    character dimensions sum to (K^2 - k_i) / 2 < 0, so no such k is a case.
+    refuses, a k that is not three exact ints or a k_i outside 0..K^2 raises
+    ``ClassifierError``: k_i = K.R_i is nonnegative because K is nef, and a
+    k_i above K^2 makes the other two character dimensions sum to
+    (K^2 - k_i) / 2 < 0, so no such k is a case.
     """
-    _check_degree(k2)
+    _check_degree(k2, k)
     if not all(0 <= k_i <= k2 for k_i in k):
         raise ClassifierError(f"k = {k} has an entry outside 0..K^2 = {k2}")
     return [NumericalCase(k2, k, m) for _, m, _ in _survivors(k2, (k,))]
@@ -359,6 +359,7 @@ class NumericalCase(Record):
     m is stored as (R_2.R_3, R_1.R_3, R_1.R_2); the reported order used in
     tables reverses it to (R_1.R_2, R_1.R_3, R_2.R_3). The status is the
     case's entry in ``K7_REFERENCE``, or "open" for a case it does not name.
+    A K^2, k or m that is not exact ints raises ``ClassifierError``.
     """
 
     k2: int
@@ -366,6 +367,7 @@ class NumericalCase(Record):
     m: Triple
 
     def __post_init__(self) -> None:
+        _check_exact(self.k2, self.k, self.m)
         for i in range(3):
             if self.m[i] > self.k[i] + 4 or (self.k[i] - self.m[i]) % 2:
                 raise ClassifierError(f"l = (k + 4 - m) / 2 is not a nonnegative integer "
@@ -390,9 +392,6 @@ class NumericalCase(Record):
     @property
     def status(self) -> str:
         return _status(self.k2, self.k, self.m)
-
-    def to_json_dict(self) -> dict:
-        return _case_table(self.k2, [(self.k, self.m, self.det_a)]).dicts()[0]
 
 
 def _status(k2: int, k: Triple, m: Triple) -> str:

@@ -8,6 +8,7 @@ from bidouble.classifier import (
     ClassifierError,
     MRejection,
     NumericalCase,
+    _case_table,
     _k_domain,
     _k_failure,
     branch_matrix_determinant,
@@ -122,6 +123,41 @@ def test_every_search_refuses_a_degree_that_is_not_an_exact_int(search):
         with pytest.raises(ClassifierError) as caught:
             search(k2)
         assert str(caught.value) == f"K^2 must be an exact int, not {type(k2).__name__}", name
+
+
+# A K^2, k or m that is not exact ints: True ran as 1, (5.0, 5, 3) and
+# ("5", 5, 3) raised a bare TypeError, (5, 5) a bare ValueError, and a case
+# with K^2 = 7.0 was built, read its status and failed only when rendered.
+_NOT_K = "k must be a tuple of three exact ints, not "
+_NOT_M = "m must be a tuple of three exact ints, not "
+_NOT_A_CASE = {
+    "bool in k": (7, (True, 1, 1), (1, 1, 1), _NOT_K + "(True, 1, 1)"),
+    "float in k": (7, (5.0, 5, 3), (1, 5, 7), _NOT_K + "(5.0, 5, 3)"),
+    "str in k": (7, ("5", 5, 3), (1, 5, 7), _NOT_K + "('5', 5, 3)"),
+    "int subclass in k": (7, (Degree(5), 5, 3), (1, 5, 7), _NOT_K + "(5, 5, 3)"),
+    "two k": (7, (5, 5), (1, 5, 7), _NOT_K + "(5, 5)"),
+    "four k": (7, (5, 5, 3, 1), (1, 5, 7), _NOT_K + "(5, 5, 3, 1)"),
+    "list k": (7, [5, 5, 3], (1, 5, 7), _NOT_K + "[5, 5, 3]"),
+    "None k": (7, None, (1, 5, 7), _NOT_K + "None"),
+    "float K^2": (7.0, (5, 5, 3), (1, 5, 7), "K^2 must be an exact int, not float"),
+    "bool K^2": (True, (1, 1, 1), (1, 1, 1), "K^2 must be an exact int, not bool"),
+    "float in m": (7, (5, 5, 3), (1, 5, 7.0), _NOT_M + "(1, 5, 7.0)"),
+    "bool in m": (7, (5, 5, 3), (True, 5, 7), _NOT_M + "(True, 5, 7)"),
+    "two m": (7, (5, 5, 3), (1, 5), _NOT_M + "(1, 5)"),
+    "list m": (7, (5, 5, 3), [1, 5, 7], _NOT_M + "[1, 5, 7]"),
+}
+
+
+@pytest.mark.parametrize("k2, k, m, message", _NOT_A_CASE.values(), ids=_NOT_A_CASE.keys())
+def test_a_k_or_case_that_is_not_exact_ints_is_refused(k2, k, m, message):
+    with pytest.raises(ClassifierError) as caught:
+        NumericalCase(k2, k, m)
+    assert str(caught.value) == message
+    if not message.startswith("m "):  # stage two takes K^2 and k only
+        for search in (enumerate_m_triples, enumerate_m_triples_trace):
+            with pytest.raises(ClassifierError) as caught:
+                search(k2, k)
+            assert str(caught.value) == message, search
 
 
 def test_stage_two_refuses_what_stage_one_refuses():
@@ -246,8 +282,8 @@ def test_all_emitted_nodal_counts_are_even():
 
 
 def test_classify_k7_table():
-    cases = classify(7)
-    assert [c.to_json_dict() for c in cases] == [
+    cases = [(c.k, c.m, c.det_a) for c in classify(7)]
+    assert _case_table(7, cases).dicts() == [
         {"K2": 7, "k": [7, 5, 5], "m": [5, 9, 7], "r": [-1, -1, -1],
          "l": [2, 0, 2], "KSigma2": 3, "detA": 784, "status": "realized_inoue"},
         {"K2": 7, "k": [5, 5, 3], "m": [7, 5, 1], "r": [-1, -1, -1],

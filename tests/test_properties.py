@@ -133,6 +133,10 @@ def assert_one_case_per_orbit(k2, k, survivors):
     orbits = [k_orbit(k, m) for m in found]
     assert set().union(*orbits) == survivors, (k2, k)
     assert sum(map(len, orbits)) == len(survivors), (k2, k)
+    # in table order, which the walk meets: larger total intersection
+    # first, then reported form ascending
+    keys = [(-sum(m), m[::-1]) for m in found]
+    assert keys == sorted(keys), (k2, k)
     # the reported member: m_1 <= m_3 <= m_2 on each index pair whose k agree
     for m in found:
         assert k[0] != k[1] or m[0] <= m[1], (k2, k, m)
@@ -183,18 +187,28 @@ def test_bounded_search_against_domain_brute_force():
     assert nonempty > TRIALS // 10 and refused > TRIALS // 10
 
 
+def test_bounded_search_against_domain_brute_force_for_every_k():
+    # the random draws above, made exhaustive at the lower degrees: every k
+    # in 0..K^2, in any order, for K^2 <= 12 (8,280 triples)
+    count = nonempty = 0
+    for k2 in range(1, 13):
+        for k in product(range(k2 + 1), repeat=3):
+            expected = {m for m in _m_domain(k) if _m_failure(k2, k, m) is None}
+            assert_one_case_per_orbit(k2, k, expected)
+            count += 1
+            nonempty += bool(expected)
+    assert count == 8280 and nonempty == 3131
+
+
 def test_bounded_search_at_the_benchmark_degrees():
-    # the degrees the benchmark classifies, above those the two tests before
+    # the degrees the benchmark classifies, above those the tests before
     # this one reach, and 49, near the cap: for every k stage one keeps, the
     # survivors are one member of each k-stabiliser orbit of the domain m
-    # that pass every filter, listed larger total intersection first, then
-    # reported form
+    # that pass every filter, in table order
     for k2 in (15, 21, 25, 49):
         for k in candidate_k_triples(k2):
             expected = {m for m in _m_domain(k) if _m_failure(k2, k, m) is None}
             assert_one_case_per_orbit(k2, k, expected)
-            keys = [(-sum(c.m), c.m_reported) for c in enumerate_m_triples(k2, k)]
-            assert keys == sorted(keys), (k2, k)
 
 
 def test_every_case_classify_emits_is_sound():
