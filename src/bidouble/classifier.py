@@ -29,9 +29,9 @@ it fails in filter order; that walk is also the oracle the bounded
 search is tested against.
 
 ``enumerate_m_triples`` and ``classify`` build a ``NumericalCase`` per
-survivor; stage two refuses what stage one refuses (a K^2 that is not an
-exact int or lies outside 1..``MAX_K2``), a k that is not three exact
-ints and any k_i outside 0..K^2, which is never a case.
+survivor; both refuse what stage one refuses (a K^2 that is not an exact
+int or lies outside 1..``MAX_K2``), a k that is not three exact ints and
+any k_i outside 0..K^2, which is never a case; a case also refuses m_i < 0.
 ``classification_certificate`` builds none: it fills one
 ``certificates.Table`` of flat columns (``_case_table``, the one
 definition of a case's row) in one pass over the walk's (k, m, det A),
@@ -142,21 +142,27 @@ def _k_failure(k2: int, k: Triple) -> str | None:
     return None
 
 
-def _check_exact(k2: int, *triples: Triple) -> None:
+def _check_degree(k2: int, *triples: Triple) -> None:
     # True would run as 1, and 7.0 or "7" fail inside range() or <=
     if type(k2) is not int:
         raise ClassifierError(f"K^2 must be an exact int, not {type(k2).__name__}")
     for name, value in zip("km", triples):
         if type(value) is not tuple or len(value) != 3 or any(type(x) is not int for x in value):
             raise ClassifierError(f"{name} must be a tuple of three exact ints, not {value!r}")
-
-
-def _check_degree(k2: int, *triples: Triple) -> None:
-    _check_exact(k2, *triples)
     if k2 < 1:
         raise ClassifierError("positive K^2 required")
     if k2 > MAX_K2:
         raise ClassifierError(f"K^2 = {k2} is above the supported maximum {MAX_K2}")
+
+
+def _check_case(k2: int, k: Triple, *m: Triple) -> None:
+    # k_i = K.R_i >= 0 as K is nef, k_i > K^2 makes the other two character
+    # dimensions sum to (K^2 - k_i) / 2 < 0, and m_i = R_j.R_k >= 0
+    _check_degree(k2, k, *m)
+    if not all(0 <= k_i <= k2 for k_i in k):
+        raise ClassifierError(f"k = {k} has an entry outside 0..K^2 = {k2}")
+    if m and min(m[0]) < 0:
+        raise ClassifierError(f"m = {m[0]} has a negative entry")
 
 
 def candidate_k_triples(k2: int) -> list[Triple]:
@@ -324,13 +330,9 @@ def enumerate_m_triples(k2: int, k: Triple) -> list[NumericalCase]:
     the walk visits only one member of each orbit. Order: larger total
     intersection first, then reported form ascending. A K^2 that stage one
     refuses, a k that is not three exact ints or a k_i outside 0..K^2 raises
-    ``ClassifierError``: k_i = K.R_i is nonnegative because K is nef, and a
-    k_i above K^2 makes the other two character dimensions sum to
-    (K^2 - k_i) / 2 < 0, so no such k is a case.
+    ``ClassifierError``, as it does for ``NumericalCase``: no such k is a case.
     """
-    _check_degree(k2, k)
-    if not all(0 <= k_i <= k2 for k_i in k):
-        raise ClassifierError(f"k = {k} has an entry outside 0..K^2 = {k2}")
+    _check_case(k2, k)
     return [NumericalCase(k2, k, m) for _, m, _ in _survivors(k2, (k,))]
 
 
@@ -359,7 +361,8 @@ class NumericalCase(Record):
     m is stored as (R_2.R_3, R_1.R_3, R_1.R_2); the reported order used in
     tables reverses it to (R_1.R_2, R_1.R_3, R_2.R_3). The status is the
     case's entry in ``K7_REFERENCE``, or "open" for a case it does not name.
-    A K^2, k or m that is not exact ints raises ``ClassifierError``.
+    A K^2, k or m that is not exact ints, a K^2 or k that stage two
+    refuses, or an m_i below 0 raises ``ClassifierError``.
     """
 
     k2: int
@@ -367,7 +370,7 @@ class NumericalCase(Record):
     m: Triple
 
     def __post_init__(self) -> None:
-        _check_exact(self.k2, self.k, self.m)
+        _check_case(self.k2, self.k, self.m)
         for i in range(3):
             if self.m[i] > self.k[i] + 4 or (self.k[i] - self.m[i]) % 2:
                 raise ClassifierError(f"l = (k + 4 - m) / 2 is not a nonnegative integer "

@@ -6,8 +6,10 @@ restriction characteristic over the branch components (all smooth
 rational, which the code checks rather than assumes), and their sum, the
 characteristic of the log-differential sheaf. ``deformation_certificate``
 computes these and the balance value 2K^2 - 10chi, and checks them
-against the fixture's entry in ``fixtures``, which freezes only the two
-parts (and dp1's invariant h1): the log sum's expected value is theirs
+against 2K_W^2 - 10 for the twist (chi(Omega_W(K_W)) = chi(Theta_W) by
+Serre duality, = 2K_W^2 - 10chi(O_W) by Hirzebruch-Riemann-Roch) and the
+fixture's entry in ``fixtures``, which freezes only the restriction part
+(and dp1's invariant h1): the log sum's expected value is the two parts
 added, the balance's comes from the K^2 of the fixture's table row. The
 dimension statements layered on top (vanishing of outer cohomology,
 per-character upper bounds) are imported facts: they live in the same
@@ -91,7 +93,7 @@ def deformation_certificate(fixture_name: str) -> Certificate:
         raise FixtureError(f"fixture {fixture_name!r} cannot be reported: {exc}") from exc
     chi_log = chi_twist + chi_restr
     balance = 2 * inv.k_s_sq - 10 * inv.chi_ov
-    twist, restr = entry.chi_twist, entry.chi_restrictions
+    twist, restr = 2 * kw.dot(kw) - 10, entry.chi_restrictions
     rows = [
         check("report/chi-twist", "chi of the K_W-twisted cotangent sheaf",
               "Riemann-Roch", chi_twist, twist),

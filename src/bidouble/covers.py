@@ -28,7 +28,7 @@ from . import classifier
 from ._record import Record
 from .certificates import Certificate, CheckRow, check, recorded
 from .curves import CurveConfiguration, FiberDecomposition, verify_fiber_decomposition
-from .lattice import DivisorClass, format_class, halve
+from .lattice import DivisorClass, format_class, halve, riemann_roch_chi
 
 
 class CoverError(ValueError):
@@ -208,14 +208,16 @@ def building_data_rows(cover: CoverData) -> list[CheckRow]:
 
 
 class CoverInvariants(Record):
-    """The seven numbers ``compute_invariants`` measures on W; eight more derive from them.
+    """The eight numbers ``compute_invariants`` measures on W; seven more derive from them.
 
     Measured: d = D = 2K_W + B_1 + B_2 + B_3, db = (D.B_i), bb = (B_1B_2,
     B_1B_3, B_2B_3), b_sq = (B_i^2), the nodal counts l, k_v_sq = K_V^2 =
-    (2K_W + Delta_1 + Delta_2 + Delta_3)^2 and sum_llk = sum L_i(L_i + K_W).
+    (2K_W + Delta_1 + Delta_2 + Delta_3)^2, sum_llk = sum L_i(L_i + K_W) and
+    dims = (chi(D), chi(D - L_i)) by Riemann-Roch on W, the dimensions of the
+    character pieces H^0(W, D) and H^0(W, D - L_i) of the bicanonical space
+    of the minimal model (Pardini 1991; h^1 and h^2 vanish there).
     Derived: m = K_W + D, d_sq = D^2, d_kw = D.K_W, m_sq = M^2, blowdown =
-    2(l_1 + l_2 + l_3), k_s_sq = k_v_sq + blowdown, chi_ov = 4 + sum_llk / 2
-    and dims = eigenspace_dims(k_s_sq, db), or None where that raises.
+    2(l_1 + l_2 + l_3), k_s_sq = k_v_sq + blowdown, chi_ov = 4 + sum_llk / 2.
     """
 
     d: DivisorClass
@@ -225,6 +227,7 @@ class CoverInvariants(Record):
     l: tuple[int, int, int]
     k_v_sq: int
     sum_llk: int
+    dims: tuple[int, int, int, int]
 
     @property
     def m(self) -> DivisorClass:
@@ -254,13 +257,6 @@ class CoverInvariants(Record):
     def chi_ov(self) -> int:
         return 4 + self.sum_llk // 2
 
-    @property
-    def dims(self) -> tuple[int, int, int, int] | None:
-        try:
-            return classifier.eigenspace_dims(self.k_s_sq, self.db)
-        except classifier.ClassifierError:
-            return None
-
     def to_json_dict(self) -> dict:
         return {
             "D": list(self.d.coeffs),
@@ -277,7 +273,7 @@ class CoverInvariants(Record):
             "KS2": self.k_s_sq,
             "sumLLK": self.sum_llk,
             "chiOV": self.chi_ov,
-            "dims": None if self.dims is None else list(self.dims),
+            "dims": list(self.dims),
         }
 
 
@@ -291,9 +287,10 @@ def compute_invariants(cover: CoverData) -> CoverInvariants:
         raise CoverError("cover has an underivable root; verify building data first")
     sum_llk = sum(root.dot(root + kw) for root in cover.roots)
     bb = (b[0].dot(b[1]), b[0].dot(b[2]), b[1].dot(b[2]))  # (B1B2, B1B3, B2B3)
+    dims = (riemann_roch_chi(d), *(riemann_roch_chi(d - root) for root in cover.roots))
     return CoverInvariants(d, tuple(d.dot(bi) for bi in b), bb,  # type: ignore[arg-type]
                            tuple(bi.dot(bi) for bi in b), cover.l,  # type: ignore[arg-type]
-                           upstairs.dot(upstairs), sum_llk)
+                           upstairs.dot(upstairs), sum_llk, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -306,19 +303,18 @@ class FixtureExpectations(Record):
 
     ``case`` is the fixture's row of the classification table. The k, m,
     l and K^2 rows are checked against it, and the other invariant rows
-    but D, dims and the K_V^2 identity against values computed from it.
-    The fields below freeze only what the row cannot give: the class of
-    D, the character dimensions (deriving them would repeat
-    ``compute_invariants``) and the name-keyed tables. ``d_shape`` states
-    D = a K_W + C as (a, name of C), so the expected class is computed on
-    the lattice of the file being verified, in whatever basis it uses.
+    but D and the K_V^2 identity against values computed from it (dims
+    against ``eigenspace_dims`` of its K^2 and k). The fields below freeze
+    only what the row cannot give: the class of D and the name-keyed
+    tables. ``d_shape`` states D = a K_W + C as (a, name of C), so the
+    expected class is computed on the lattice of the file being verified,
+    in whatever basis it uses.
     ``swap`` is None or the pair (basis map, rows): the map permutes basis
     names, and each row (src, dst) checks that it sends curve src to dst.
     """
 
     case: classifier.NumericalCase
     d_shape: tuple[int, str]
-    dims: tuple[int, int, int, int]
     table: dict[tuple[str, str], int]
     fibers: tuple[FiberDecomposition, ...]
     d_dot: dict[str, int]
@@ -367,7 +363,7 @@ def _invariant_rows(inv: CoverInvariants, expect: FixtureExpectations,
         check("invariant/chiOV", "chi(O) of the cover, 4 + (1/2) sum L_i(L_i+K_W)",
               "double cover Euler characteristic", inv.chi_ov, 1),
         check("invariant/dims", "character subspace dimensions (inv, 1, 2, 3)",
-              "character dimensions", inv.dims, expect.dims),
+              "character dimensions", inv.dims, classifier.eigenspace_dims(case.k2, case.k)),
     ]
     return rows
 

@@ -27,13 +27,12 @@ status ``realized_<name>``, and the verification takes from that row
 every number it can give: the row states k and m at K^2 = 7, l and K_Sigma^2
 follow from k and m, and the rest follows from those on a surface with
 p_g = q = 0 (D^2, D.K_W, M^2, the B_i^2, K_V^2, the blowdown count,
-sum L_i(L_i + K_W) and chi(O), computed in ``covers``). The
-expectation tables below freeze only what
-the row cannot give: D, the character dimensions and the name-keyed
-intersection, fiber, dot and swap tables. D is stated by name, as
-a K_W + C for a named curve C (dp1: -2K_W + Gamma, inoue: -K_W + F1'),
-and the expected class is computed on the lattice of the file being
-verified, so a fixture label fixes D in any basis: an isometry that
+sum L_i(L_i + K_W), chi(O) and the character dimensions, computed in
+``covers``). The expectation tables below freeze only what the row
+cannot give: D and the name-keyed intersection, fiber, dot and swap
+tables. D is stated by name, as a K_W + C for a named curve C (dp1:
+-2K_W + Gamma, inoue: -K_W + F1'), and the expected class is computed on
+the lattice of the file being verified, so a fixture label fixes D in any basis: an isometry that
 fixes K_W and moves every curve, such as a reflection in a (-2)-class
 orthogonal to K_W, moves the expected D with them. The swap is
 different: ``swap`` pairs a permutation of basis names with the curve
@@ -43,16 +42,17 @@ an isometry of the lattice that moves with the file, is left open. A
 fixture without a swap states None, so a map without rows, or rows
 without a map, cannot be written down.
 
-A fixture's entry also holds every input of its deformation report as
-typed fields: the two hand-computed characteristics ``chi_twist`` and
-``chi_restrictions``, ``h1`` and provenance notes. ``h1`` is None (no h1
-rows) or the pair (invariant h1, imported per-character h2 bounds); dp1
-alone has one, with invariant h1 = 3, the paper's "dimension 3", so no
-entry can hold bounds without the value they bound. ``cohomology``
-derives the expected log sum from the two characteristics and the
-balance from the table row's K^2. Every frozen number was recomputed by
-hand from the coefficient vectors before being frozen; the test suite
-re-derives the same values through independent code paths.
+A fixture's entry also holds the inputs of its deformation report that
+no formula gives, as typed fields: the hand-computed ``chi_restrictions``,
+``h1`` and provenance notes. ``h1`` is None (no h1 rows) or the pair
+(invariant h1, imported per-character h2 bounds); dp1 alone has one, with
+invariant h1 = 3, the paper's "dimension 3", so no entry can hold bounds
+without the value they bound. ``cohomology`` expects the twisted
+cotangent characteristic to be 2K_W^2 - 10, the log sum to be that plus
+``chi_restrictions``, and the balance from the table row's K^2. Every
+frozen number was recomputed by hand from the coefficient vectors before
+being frozen; the test suite re-derives the same values through
+independent code paths.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ def _reference_case(name: str) -> NumericalCase:
 _INOUE_EXPECT = FixtureExpectations(
     case=_reference_case("inoue"),
     d_shape=(-1, "F1'"),
-    dims=(7, 1, 0, 0),
     table={
         ("F1", "F1"): 0,
         ("F1", "F1'"): 0,
@@ -131,7 +130,6 @@ _INOUE_EXPECT = FixtureExpectations(
 _DP1_EXPECT = FixtureExpectations(
     case=_reference_case("dp1"),
     d_shape=(-2, "Gamma"),
-    dims=(6, 1, 1, 0),
     table={
         ("Lambda", "Lambda"): -1,
         ("Lambda", "Fb"): 2,
@@ -178,9 +176,8 @@ _DP1_NOTES = (
 
 class _Fixture(Record):
     expect: FixtureExpectations
-    # deformation report inputs: the expected report/chi-twist and
-    # report/chi-restrictions values, the h1 analysis and provenance notes
-    chi_twist: int
+    # deformation report inputs: the expected report/chi-restrictions value,
+    # the h1 analysis and provenance notes
     chi_restrictions: int
     # None (no h1 rows), or (expected report/h1-inv, imported per-character
     # upper bounds for the second cohomology of the tangent sheaf: invariant
@@ -191,9 +188,8 @@ class _Fixture(Record):
 
 
 _FIXTURES = {
-    "dp1": _Fixture(_DP1_EXPECT, chi_twist=-8, chi_restrictions=5, h1=(3, (0, 2, 2, 3)),
-                    notes=_DP1_NOTES),
-    "inoue": _Fixture(_INOUE_EXPECT, chi_twist=-4, chi_restrictions=0, h1=None, notes=()),
+    "dp1": _Fixture(_DP1_EXPECT, chi_restrictions=5, h1=(3, (0, 2, 2, 3)), notes=_DP1_NOTES),
+    "inoue": _Fixture(_INOUE_EXPECT, chi_restrictions=0, h1=None, notes=()),
 }
 
 FIXTURE_NAMES = tuple(_FIXTURES)

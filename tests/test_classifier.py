@@ -180,6 +180,28 @@ def test_stage_two_refuses_what_stage_one_refuses():
     assert enumerate_m_triples(MAX_K2, (0, 0, 0)) == []
 
 
+@pytest.mark.parametrize("k2, k, m, message", [
+    (7, (-3, 5, 3), (1, 5, 7), "k = (-3, 5, 3) has an entry outside 0..K^2 = 7"),
+    (0, (5, 5, 3), (1, 5, 7), "positive K^2 required"),
+    (MAX_K2 + 1, (5, 5, 3), (1, 5, 7), f"K^2 = {MAX_K2 + 1} is above the supported maximum "
+                                       f"{MAX_K2}"),
+    (7, (9, 5, 5), (9, 5, 5), "k = (9, 5, 5) has an entry outside 0..K^2 = 7"),
+    (7, (5, 5, 3), (-7, 5, 7), "m = (-7, 5, 7) has a negative entry"),
+    (7, (5, 5, 3), (1, 5, -1), "m = (1, 5, -1) has a negative entry"),
+])
+def test_a_case_refuses_what_stage_two_refuses(k2, k, m, message):
+    # a case out of stage two's range is never a case: the same check, and
+    # for K^2 and k the same message, as enumerate_m_triples
+    with pytest.raises(ClassifierError) as caught:
+        NumericalCase(k2, k, m)
+    assert str(caught.value) == message
+    if not message.startswith("m "):  # stage two takes K^2 and k only
+        for search in (enumerate_m_triples, enumerate_m_triples_trace):
+            with pytest.raises(ClassifierError) as caught:
+                search(k2, k)
+            assert str(caught.value) == message, search
+
+
 def test_stage_one_refuses_degree_above_cap():
     assert candidate_k_triples(MAX_K2)
     with pytest.raises(ClassifierError, match=f"above the supported maximum {MAX_K2}"):

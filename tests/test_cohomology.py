@@ -151,11 +151,34 @@ def test_report_rows_follow_the_fixture_entry(monkeypatch):
     assert rows["report/note-1"].description == "a note"
     assert rows["report/note-2"].description.startswith("the balance value")
 
-    # the log sum's expected value is the sum of the frozen parts, so it follows them
-    wrong = entry_with("inoue", chi_twist=0)
-    monkeypatch.setattr(cohomology, "_lookup", lambda name: wrong)
-    cert = deformation_certificate("inoue")
-    assert [r.row_id for r in cert.failures()] == ["report/chi-twist", "report/chi-log"]
+
+
+def test_an_error_in_the_twist_fails_its_row_and_the_log_sum(monkeypatch):
+    # the twist is expected to be 2K_W^2 - 10 and the log sum that plus the
+    # frozen restriction part, so a c2 one too large in chi_rank2_twist
+    # (chi one too small) fails exactly those two rows; on dp1 the invariant
+    # h1, which is minus the log sum, fails with them
+    from bidouble import cohomology
+
+    def wrong_c2(d):
+        return chi_rank2_twist(d) - 1
+
+    monkeypatch.setattr(cohomology, "chi_rank2_twist", wrong_c2)
+    for name, failing in (("inoue", ["report/chi-twist", "report/chi-log"]),
+                          ("dp1", ["report/chi-twist", "report/chi-log", "report/h1-inv"])):
+        cert = deformation_certificate(name)
+        assert [r.row_id for r in cert.failures()] == failing
+        row = next(r for r in cert.rows if r.row_id == "report/chi-twist")
+        assert (row.computed, row.expected) == ({"dp1": -9, "inoue": -5}[name],
+                                                {"dp1": -8, "inoue": -4}[name])
+
+
+def test_fixture_entry_freezes_only_what_no_formula_gives():
+    # the twist is 2K_W^2 - 10 by Hirzebruch-Riemann-Roch, so no entry stores it
+    assert fixtures._Fixture._fields == ("expect", "chi_restrictions", "h1", "notes")
+    for name in ("dp1", "inoue"):
+        kw = fixture(name)[0].lattice.canonical_class()
+        assert chi_rank2_twist(kw) == 2 * kw.dot(kw) - 10
 
 
 def test_report_without_an_h1_analysis_drops_only_the_h1_rows(monkeypatch):

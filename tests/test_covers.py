@@ -295,10 +295,12 @@ def test_verification_without_expectations_records_values():
 
 
 @pytest.mark.parametrize("name", ["m", "d_sq", "d_kw", "m_sq", "blowdown", "k_s_sq",
-                                  "chi_ov", "dims"])
+                                  "chi_ov"])
 def test_cover_invariants_take_no_derived_value(name):
+    # dims is measured, by Riemann-Roch on W, not derived from K_S^2 and D.B_i
     inv = compute_invariants(fixture("dp1")[1])
-    assert CoverInvariants._fields == ("d", "db", "bb", "b_sq", "l", "k_v_sq", "sum_llk")
+    assert CoverInvariants._fields == ("d", "db", "bb", "b_sq", "l", "k_v_sq", "sum_llk",
+                                       "dims")
     values = [getattr(inv, field) for field in CoverInvariants._fields]
     with pytest.raises(TypeError, match=r"^CoverInvariants\(\) got an unexpected keyword "
                                         rf"argument '{name}'$"):
@@ -314,3 +316,53 @@ def test_swap_rows_present_for_inoue():
     # without a swap, the same certificate less its swap rows
     bare = run_verification(cover, expectations_with("inoue", swap=None), cert.title)
     assert bare.rows == tuple(r for r in cert.rows if not r.row_id.startswith("swap/"))
+
+
+def test_fixture_expectations_freeze_only_what_the_case_cannot_give():
+    # the character dimensions follow from the case, as eigenspace_dims of its
+    # K^2 and k, so no expectation stores them
+    assert FixtureExpectations._fields == ("case", "d_shape", "table", "fibers", "d_dot",
+                                           "m_dot", "swap")
+
+
+def dims_row(cert):
+    (row,) = [r for r in cert.rows if r.row_id == "invariant/dims"]
+    return row
+
+
+def test_character_dimensions_are_measured_on_the_cover():
+    # moving C1, C1', C2, C2' from Delta_1 to Delta_2 keeps the building data
+    # and every D.B_i, so the classifier's formula, which reads only K_S^2
+    # and D.B_i, cannot see it; Riemann-Roch on W gives other pieces
+    config, cover = fixture("dp1")
+    moved = ("C1", "C1'", "C2", "C2'")
+    delta = (tuple(n for n in cover.delta[0] if n not in moved), cover.delta[1] + moved,
+             cover.delta[2])
+    cert = verify_surface("dp1", CoverData(config, delta, None))
+    assert [r.row_id for r in cert.failures()] == ["invariant/l", "invariant/dims", "case/l"]
+    row = dims_row(cert)
+    assert (row.computed, row.expected) == ((6, 0, 2, 0), (6, 1, 1, 0))
+    assert sum(row.computed) == 7 + 1
+
+
+def test_a_sign_flip_in_either_dimension_formula_fails_the_dims_row(monkeypatch):
+    from bidouble import classifier, covers
+    from bidouble.lattice import riemann_roch_chi
+
+    def flipped_chi(a):
+        # 1 + (a.a + K.a) / 2: the sign of the K.a term flipped
+        return riemann_roch_chi(a) + a.dot(a.lattice.canonical_class())
+
+    def flipped_dims(k2, k):
+        # the signs of k_{i+1} and k_{i+2} swapped in each piece, which keeps
+        # every numerator divisible by 4
+        total = (k2 + sum(k)) // 4 + 1
+        return (total, *((k2 - k[i] + k[(i + 1) % 3] - k[(i + 2) % 3]) // 4 for i in range(3)))
+
+    for module, name, flipped in ((covers, "riemann_roch_chi", flipped_chi),
+                                  (classifier, "eigenspace_dims", flipped_dims)):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, flipped)
+            for fixture_name in ("dp1", "inoue"):
+                cert = verify_surface(fixture_name, fixture(fixture_name)[1])
+                assert [r.row_id for r in cert.failures()] == ["invariant/dims"], name
