@@ -88,21 +88,22 @@ def branch_matrix_determinant(m: Triple) -> int:
     return m1 * m1 + m2 * m2 + m3 * m3 + 2 * m1 * m2 * m3 - 1
 
 
-def eigenspace_dims(k2: int, k: Triple) -> tuple[int, int, int, int]:
+def eigenspace_dims(k2: int, k: Triple) -> tuple[int, int, int, int] | None:
     """Dimensions of the four character subspaces of the bicanonical space.
 
-    Returns (invariant part, then one entry per involution). Raises when
-    the data is not 4-divisible where it must be; the total always comes
-    out to K^2 + 1.
+    Returns (invariant part, then one entry per involution), or None when
+    the data is not 4-divisible where it must be: non-integral dimensions
+    are an expected outcome (stage one rejects such k, and verification
+    fails its row), not an error. The total always comes out to K^2 + 1.
     """
     total = k2 + sum(k)
     if total % 4:
-        raise ClassifierError(f"character dimensions not integral for k={k}, K2={k2}")
+        return None
     dims = [total // 4 + 1]
     for i in range(3):
         num = k2 + k[i] - k[(i + 1) % 3] - k[(i + 2) % 3]
         if num % 4:
-            raise ClassifierError(f"character dimensions not integral for k={k}, K2={k2}")
+            return None
         dims.append(num // 4)
     return tuple(dims)  # type: ignore[return-value]
 
@@ -127,9 +128,8 @@ def _k_domain(k2: int) -> list[Triple]:
 
 
 def _k_failure(k2: int, k: Triple) -> str | None:
-    try:
-        dims = eigenspace_dims(k2, k)
-    except ClassifierError:
+    dims = eigenspace_dims(k2, k)
+    if dims is None:
         return "character dimension integrality"
     if min(dims) < 0:
         return "negative character dimension"

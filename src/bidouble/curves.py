@@ -10,11 +10,12 @@ adjunction forces K.C = -2 - s, so
 
 For each admissible degree a this is a bounded integer program solved by
 depth-first search with a Cauchy-Schwarz prune. The degree range itself
-comes from the same inequality applied to all n slots at once; it is a
-finite interval precisely because K^2 = 9 - n is positive, which is why
-lattices with n >= 9 are rejected up front. Degrees ascend and so do each
-slot's values, so the walk meets the classes in lexicographic order of
-their coefficients, which is the output order: nothing sorts them.
+comes from the same test applied to all n slots at once, widened one
+degree at a time from the vertex of that quadratic in a; it is a finite
+interval precisely because K^2 = 9 - n is positive, which is why lattices
+with n >= 9 are rejected up front. Degrees ascend and so do each slot's
+values, so the walk meets the classes in lexicographic order of their
+coefficients, which is the output order: nothing sorts them.
 
 The configuration side is bookkeeping: named classes tagged with a role
 (nodal, minus_one, fiber, branch_component, other), with the numerically
@@ -29,6 +30,8 @@ from ._record import Record
 from .lattice import DivisorClass, LatticeError, SurfaceLattice, intersect
 
 ROLES = ("nodal", "minus_one", "fiber", "branch_component", "other")
+# the (C^2, K.C) pair each numerically checkable role requires
+_ROLE_NUMBERS = {"nodal": (-2, 0), "minus_one": (-1, -1)}
 
 
 class ConfigurationError(ValueError):
@@ -46,34 +49,28 @@ MIN_SELFINT, MAX_SELFINT = -6, 3
 # ---------------------------------------------------------------------------
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
 def _degree_range(n: int, s: int) -> range:
     """Exactly the integer degrees a allowed by Cauchy-Schwarz across all n slots.
 
-    (s + 2 - 3a)^2 <= n (a^2 - s) rearranges to a quadratic in a with
-    leading coefficient 9 - n > 0, so the solution set is an interval.
+    The walk's own entry test, (s + 2 - 3a)^2 <= n (a^2 - s), is quadratic
+    in a with leading coefficient 9 - n > 0 for the n <= 8 that
+    ``enumerate_classes`` admits, so its degrees form an interval around
+    the vertex 3(s + 2)/(9 - n): start at the vertex's floor, or one above
+    when that fails, and widen both ways while the test holds.
     """
 
     def holds(a: int) -> bool:
         return (s + 2 - 3 * a) ** 2 <= n * (a * a - s)
 
-    # (9-n) a^2 - 6(s+2) a + (s+2)^2 + n s <= 0
-    lead = 9 - n
-    disc = 4 * n * ((s + 2) ** 2 - lead * s)
-    if disc < 0:
+    lo = 3 * (s + 2) // (9 - n)
+    if not holds(lo):
+        lo += 1
+    if not holds(lo):
         return range(0)
-    root = isqrt(disc)
-    # the real ends are (6(s+2) -+ sqrt(disc)) / (2 lead); isqrt truncates
-    # by less than one, so each integer end is this candidate or the next
-    # one outward, and the inequality itself decides which
-    lo = _ceil_div(6 * (s + 2) - root, 2 * lead)
-    hi = (6 * (s + 2) + root) // (2 * lead)
-    if holds(lo - 1):
+    hi = lo
+    while holds(lo - 1):
         lo -= 1
-    if holds(hi + 1):
+    while holds(hi + 1):
         hi += 1
     return range(lo, hi + 1)
 
@@ -155,9 +152,9 @@ class NamedCurve(Record):
 class CurveConfiguration(Record):
     """A fixed set of named curves on one lattice.
 
-    Roles with a numerical meaning are validated eagerly: a nodal curve
-    must have square -2 and K.C = 0, a minus_one curve square -1 and
-    K.C = -1. The other roles are structural tags.
+    Roles with a numerical meaning are validated eagerly against their
+    (C^2, K.C) pair in ``_ROLE_NUMBERS``: (-2, 0) for a nodal curve, (-1, -1)
+    for a minus_one curve. The other roles are structural tags.
     """
 
     lattice: SurfaceLattice
@@ -173,15 +170,11 @@ class CurveConfiguration(Record):
                 raise ConfigurationError(f"unknown role {curve.role!r} for {curve.name!r}")
             if curve.cls.lattice != self.lattice:
                 raise ConfigurationError(f"curve {curve.name!r} lives on a different lattice")
-            sq = curve.cls.dot(curve.cls)
-            kc = k.dot(curve.cls)
-            if curve.role == "nodal" and (sq, kc) != (-2, 0):
+            wanted = _ROLE_NUMBERS.get(curve.role)
+            numbers = (curve.cls.dot(curve.cls), k.dot(curve.cls))
+            if wanted is not None and numbers != wanted:
                 raise ConfigurationError(
-                    f"nodal curve {curve.name!r} has (C^2, K.C) = ({sq}, {kc}), wanted (-2, 0)"
-                )
-            if curve.role == "minus_one" and (sq, kc) != (-1, -1):
-                raise ConfigurationError(
-                    f"minus_one curve {curve.name!r} has (C^2, K.C) = ({sq}, {kc}), wanted (-1, -1)"
+                    f"{curve.role} curve {curve.name!r} has (C^2, K.C) = {numbers}, wanted {wanted}"
                 )
             index[curve.name] = curve
         object.__setattr__(self, "_index", index)  # a lookup table, not a field

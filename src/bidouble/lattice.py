@@ -181,22 +181,19 @@ def intersect(a: DivisorClass, b: DivisorClass) -> int:
 
 
 def arithmetic_genus(a: DivisorClass) -> int:
-    """Genus from the adjunction formula, p = 1 + (a.a + K.a)/2.
-
-    The sum a.a + K.a is even for every integral class on these lattices,
-    so the division is exact; we assert rather than round.
-    """
-    k = a.lattice.canonical_class()
-    total = a.dot(a) + k.dot(a)
-    assert total % 2 == 0, "adjunction parity violated; lattice data corrupt"
-    return 1 + total // 2
+    """Genus from the adjunction formula, p = 1 + (a.a + K.a)/2 = chi(O(-a))."""
+    return riemann_roch_chi(-a)
 
 
 def riemann_roch_chi(a: DivisorClass) -> int:
-    """Euler characteristic chi(O(a)) = 1 + (a.a - K.a)/2 on a rational surface."""
+    """Euler characteristic chi(O(a)) = 1 + (a.a - K.a)/2 on a rational surface.
+
+    The sum a.a - K.a is even for every integral class on these lattices,
+    so the division is exact; we assert rather than round.
+    """
     k = a.lattice.canonical_class()
     total = a.dot(a) - k.dot(a)
-    assert total % 2 == 0
+    assert total % 2 == 0, "Riemann-Roch parity violated; lattice data corrupt"
     return 1 + total // 2
 
 

@@ -45,8 +45,10 @@ def test_eigenspace_dims():
     assert eigenspace_dims(7, (7, 5, 5)) == (7, 1, 0, 0)
     assert eigenspace_dims(7, (5, 5, 3)) == (6, 1, 1, 0)
     assert eigenspace_dims(7, (5, 3, 1)) == (5, 2, 1, 0)
-    with pytest.raises(ClassifierError):
-        eigenspace_dims(7, (7, 5, 4))
+    # non-integral dimensions are an outcome, not an error: in the total
+    # (7 + 16 = 23) and in a piece only (total 7 + 1 = 8, piece 7 - 1 = 6)
+    assert eigenspace_dims(7, (7, 5, 4)) is None
+    assert eigenspace_dims(7, (1, 0, 0)) is None
 
 
 def test_eigenspace_dims_sum_rule():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from bidouble.classifier import NumericalCase, classify
@@ -366,3 +368,15 @@ def test_a_sign_flip_in_either_dimension_formula_fails_the_dims_row(monkeypatch)
             for fixture_name in ("dp1", "inoue"):
                 cert = verify_surface(fixture_name, fixture(fixture_name)[1])
                 assert [r.row_id for r in cert.failures()] == ["invariant/dims"], name
+
+
+def test_a_case_with_non_integral_dimensions_fails_the_dims_row():
+    # k = (1, 1, 1) at K^2 = 7 gives 4-indivisible character dimensions: the
+    # dims row fails against an expected null instead of raising
+    _, cover = fixture("dp1")
+    case = NumericalCase(7, (1, 1, 1), (1, 1, 1))
+    cert = run_verification(cover, expectations_with("dp1", case=case), "non-integral: dp1")
+    row = dims_row(cert)
+    assert (row.computed, row.expected, row.status) == ((6, 1, 1, 0), None, "fail")
+    (doc,) = [r for r in json.loads(cert.to_json())["rows"] if r["id"] == "invariant/dims"]
+    assert (doc["expected"], doc["status"]) == (None, "fail")

@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 
 import pytest
 
 from bidouble.curves import (
+    MIN_SELFINT,
+    MAX_SELFINT,
     ConfigurationError,
     CurveConfiguration,
     FiberDecomposition,
@@ -54,7 +57,7 @@ def test_degree_range_is_exactly_the_cauchy_schwarz_interval():
     # the degrees a with (s + 2 - 3a)^2 <= n (a^2 - s), found by scanning a
     # window wide enough to hold every interval in this sweep
     for n in range(9):
-        for s in range(-4, 15):
+        for s in range(MIN_SELFINT, 15):
             window = range(-200, 201)
             want = [a for a in window if (s + 2 - 3 * a) ** 2 <= n * (a * a - s)]
             got = _degree_range(n, s)
@@ -100,6 +103,31 @@ def test_enumeration_counts():
     # the plane: the line is its only genus-zero class of any supported square
     for s in range(-6, 4):
         assert [c.coeffs for c in enumerate_classes(make(0), s)] == ([(1,)] if s == 1 else []), s
+
+
+def mirror_pairs():
+    # (n, s, 5 - n - s) with s <= 5 - n - s and both squares supported; on
+    # n = 8 only two pairs, whose class counts stay small
+    for n in range(8):
+        for s in range(MIN_SELFINT, MAX_SELFINT + 1):
+            if s <= 5 - n - s <= MAX_SELFINT:
+                yield n, s, 5 - n - s
+    yield from ((8, -2, -1), (8, -3, 0))
+
+
+def test_anticanonical_mirror_is_a_bijection_between_enumerations():
+    # y = -K - x has y.K = -x.K - K^2 and y^2 = x^2 + 2x.K + K^2, so for a
+    # genus-zero x of square s (x.K = -2 - s) y has square 5 - n - s and
+    # y.K = -y^2 - 2: genus zero again. The map is an involution, so it is a
+    # bijection, and a degree range cut short at either end loses the classes
+    # that the other enumeration's mirror image brings back
+    pairs = list(mirror_pairs())
+    assert len(pairs) == 26
+    for n, s, t in pairs:
+        lat = make(n)
+        minus_k = -lat.canonical_class()
+        mirrored = sorted((minus_k - x).coeffs for x in enumerate_classes(lat, s))
+        assert mirrored == [y.coeffs for y in enumerate_classes(lat, t)], (n, s, t)
 
 
 @pytest.mark.parametrize("n,s", [(6, s) for s in range(-6, 4)] + [(8, -1), (8, -2)])
@@ -223,11 +251,13 @@ def test_filter_tests_a_repeated_nodal_class_once(monkeypatch):
 
 def test_configuration_role_validation():
     lat = make(2)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "nodal curve 'N' has (C^2, K.C) = (1, -3), wanted (-2, 0)")):
         CurveConfiguration(
             lat, (NamedCurve("N", lat.divisor((1, 0, 0)), "nodal"),)
         )
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=re.escape(
+            "minus_one curve 'E' has (C^2, K.C) = (-2, -2), wanted (-1, -1)")):
         CurveConfiguration(
             lat, (NamedCurve("E", lat.divisor((0, 1, 1)), "minus_one"),)
         )
